@@ -39,9 +39,11 @@ from .errors import (
     ZeroGainRow,
 )
 from .model import (
+    EpsilonParams,
     FeasibilityReport,
     MdpModel,
     Policy,
+    epsilon_model,
     gen_exit_model,
     gen_graph_model,
     gen_portfolio_model,
@@ -52,12 +54,10 @@ from .model import (
 from .montecarlo import GrowthEstimate, estimate_growth, sample_log_products, simulate
 from .variational import (
     Certificate,
-    EpsilonParams,
     OccupationMeasure,
     SweepPoint,
     certificate_from_eigen,
     dual_bound,
-    epsilon_model,
     epsilon_sweep,
     maximize,
     objective_psi0,

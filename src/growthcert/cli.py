@@ -9,7 +9,7 @@ non-convergence (a report is still emitted), 4 usage error.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 import time
 
@@ -17,9 +17,11 @@ import numpy as np
 
 from . import __version__, jsonio
 from .eigensolver import cw_bounds, solve_eigen
-from .errors import GrowthcertError, NoConvergence, ParseError, SchemaError
+from .errors import GrowthcertError, NoConvergence, SchemaError
 from .model import (
+    EpsilonParams,
     Policy,
+    epsilon_model,
     gen_exit_model,
     gen_graph_model,
     gen_portfolio_model,
@@ -28,14 +30,7 @@ from .model import (
     validate,
 )
 from .montecarlo import estimate_growth
-from .variational import (
-    EpsilonParams,
-    certificate_from_eigen,
-    epsilon_model,
-    epsilon_sweep,
-    maximize,
-    stationarity_residual,
-)
+from .variational import certificate_from_eigen, epsilon_sweep, maximize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +39,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(4, f"{self.prog}: error: {message}\n")
+
+
+def _positive(kind, above=0):
+    """argparse type: a finite ``kind`` value greater than ``above``."""
+
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > above):
+            raise argparse.ArgumentTypeError(f"must be finite and > {above}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _build_parser() -> _Parser:
@@ -57,16 +65,16 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="certified growth rate with primal/dual witnesses")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=_positive(float), default=1e-10)
+    p.add_argument("--max-iter", type=_positive(int), default=100_000)
     p.add_argument("--eps-fallback", type=float, default=None)
 
     p = sub.add_parser("variational", help="mirror-ascent lower bound from a random start")
     p.add_argument("model")
-    p.add_argument("--iters", type=int, default=5000)
+    p.add_argument("--iters", type=_positive(int), default=5000)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--penalty", type=float, default=10.0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("bounds", help="Collatz-Wielandt bracket at a supplied vector")
@@ -76,9 +84,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("mc", help="Monte Carlo growth estimate under a policy")
     p.add_argument("model")
     p.add_argument("--policy", required=True, metavar="POLICY_JSON")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--batches", type=int, default=20)
+    p.add_argument("--n", type=_positive(int), required=True)
+    p.add_argument("--paths", type=_positive(int), required=True)
+    p.add_argument("--batches", type=_positive(int, above=1), default=20)
     p.add_argument("--x0", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
 
@@ -132,26 +140,15 @@ def _parse_adjacency(text: str) -> np.ndarray:
         raise SchemaError(f"cannot parse adjacency {text!r}: {exc}") from exc
 
 
-def _load_json(path, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column "
-                         f"{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read {what}: {exc}") from exc
-
-
 def _load_vector(path) -> np.ndarray:
-    doc = _load_json(path, "vector file")
+    doc = jsonio.load(path, "vector file")
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: vector file must be a JSON array")
     return np.asarray(doc, dtype=float)
 
 
 def _load_policy(path) -> Policy:
-    doc = _load_json(path, "policy file")
+    doc = jsonio.load(path, "policy file")
     if not isinstance(doc, dict) or "phi" not in doc:
         raise SchemaError(f"{path}: policy file must be an object with field 'phi'")
     phi = np.asarray(doc["phi"], dtype=float)
@@ -295,7 +292,7 @@ def _cmd_gen(args) -> tuple[str, int]:
         model = gen_graph_model([_parse_adjacency(a) for a in args.adjacency])
     elif args.family == "portfolio":
         grid = [vec.ravel() for vec in map(_parse_matrix, args.grid.split(";"))]
-        support_doc = _load_json(args.support, "support file")
+        support_doc = jsonio.load(args.support, "support file")
         model = gen_portfolio_model(
             Q=_parse_matrix(args.q),
             w_support=support_doc,

@@ -23,11 +23,10 @@ exhibit on periodic gain structures, so no separate restart logic is needed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     NoConvergence,
@@ -35,7 +34,7 @@ from .errors import (
     ReducibleGain,
     TooManyPolicies,
 )
-from .model import MdpModel, Policy, validate
+from .model import EpsilonParams, MdpModel, Policy, _strongly_connected, epsilon_model, validate
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -163,20 +162,23 @@ def solve_eigen(
 
     Models with strictly positive kernel and weights are solved directly.
     When either positivity fails and ``eps_fallback`` is given, the
-    epsilon-smoothed companion model (see ``variational.epsilon_model``) is
+    epsilon-smoothed companion model (see :func:`model.epsilon_model`) is
     solved instead and the result is flagged ``regularized`` -- its rate
     upper-bounds the original one within O(epsilon).  Without a fallback the
     solver still runs whenever the gain graph is strongly connected and
     refuses (:class:`ReducibleGain`) otherwise, since the ratio bracket
-    cannot close on a reducible gain structure.
+    cannot close on a reducible gain structure.  A non-finite or
+    non-positive ``tol`` or a ``max_iter`` below 1 is a ``ValueError``.
     """
     report = validate(model)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be finite and > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if eps_fallback is not None and not (eps_fallback > 0):
         raise ValueError("eps_fallback must be > 0 when given")
     if not (report.a0_plus and report.a1_plus):
         if eps_fallback is not None:
-            from .variational import EpsilonParams, epsilon_model
-
             smoothed = epsilon_model(model, EpsilonParams(epsilon=eps_fallback))
             sol = _solve_direct(smoothed, tol, max_iter)
             return replace(sol, regularized=True, epsilon=float(eps_fallback))
@@ -248,7 +250,7 @@ def fixed_policy_gain(
     it or smooth the model first.
     """
     mat = np.einsum("xu,xuy->xy", phi.phi, model.gain)
-    if not _matrix_irreducible(mat):
+    if not _strongly_connected(mat > 0):
         raise ReducibleGain("policy gain matrix is not irreducible")
     gains, iters, done = _linear_power_batch(mat[None], tol, max_iter)
     if not done[0]:
@@ -257,13 +259,6 @@ def fixed_policy_gain(
             iterations=int(iters[0]),
         )
     return float(gains[0])
-
-
-def _matrix_irreducible(mat: np.ndarray) -> bool:
-    n_comp, _ = connected_components(
-        csr_matrix(mat > 0), directed=True, connection="strong"
-    )
-    return int(n_comp) == 1
 
 
 def enumerate_policy_gains(
@@ -301,7 +296,7 @@ def enumerate_policy_gains(
             full = gain_rows_positive[np.arange(s)[None, :], choices].all(axis=1)
             mats_all = _policy_matrices(model, choices)
             for i in np.flatnonzero(~full):
-                usable[i] = _matrix_irreducible(mats_all[i])
+                usable[i] = _strongly_connected(mats_all[i] > 0)
             mats = mats_all[usable]
         else:
             mats = _policy_matrices(model, choices)

@@ -1,4 +1,4 @@
-"""Deterministic JSON emission.
+"""Deterministic JSON emission, and the one reader for input documents.
 
 ``json.dumps`` renders floats with ``repr``, whose digit count varies by
 value.  Reports and model files here must be byte-stable and round-trip
@@ -18,6 +18,8 @@ import json
 import math
 
 import numpy as np
+
+from .errors import ParseError
 
 _INDENT = "  "
 
@@ -66,3 +68,15 @@ def dumps(value) -> str:
 def dump(value, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(value))
+
+
+def load(path, what: str):
+    """Parse the JSON document at ``path``; read and syntax failures are :class:`ParseError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column "
+                         f"{exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read {what}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Controlled-chain data model, feasibility checks, generators, serialization.
+"""Controlled-chain data model, feasibility checks, generators, smoothing, serialization.
 
 A model is a finite controlled Markov chain together with a nonnegative
 multiplicative reward factor on transitions:
@@ -22,15 +22,13 @@ worse is rejected as a modeling bug.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import csgraph, csr_matrix
 
 from . import jsonio
 from .errors import (
@@ -38,20 +36,23 @@ from .errors import (
     DanglingVertex,
     DimensionMismatch,
     NonpositiveWealthFactor,
+    NotDistribution,
     NotStochastic,
-    ParseError,
     SchemaError,
     ZeroDenominator,
+    ZeroGainRow,
 )
 
 ROW_SUM_SILENT = 1e-12
 ROW_SUM_RENORM = 1e-6
+MASS_TOL = 1e-12
 
 _MODEL_FIELDS = ("states", "actions", "kernel", "weights", "metadata")
 
 
 def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    """Checked float copy of ``value``; the model never shares the caller's memory."""
+    arr = np.array(value, dtype=float)
     if arr.shape != shape:
         raise DimensionMismatch(
             f"{name} has shape {arr.shape}, expected {shape} from the label lists"
@@ -59,8 +60,7 @@ def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{name} contains non-finite entries")
     if np.any(arr < 0):
-        raise SchemaError(f"{name} contains negative entries; all entries must be >= 0")
-    arr.flags.writeable = False
+        raise SchemaError(f"{name} contains negative entries; all entries must be nonnegative")
     return arr
 
 
@@ -78,7 +78,7 @@ class MdpModel:
     kernel: np.ndarray
     weights: np.ndarray
     metadata: str = ""
-    renormalized_rows: tuple[tuple[int, int], ...] = ()
+    renormalized_rows: tuple[tuple[int, int], ...] = field(default=(), init=False)
 
     def __post_init__(self):
         states = tuple(str(s) for s in self.states)
@@ -90,16 +90,8 @@ class MdpModel:
         if len(set(actions)) != len(actions):
             raise SchemaError("action labels must be distinct")
         shape = (len(states), len(actions), len(states))
-        kernel = np.array(np.asarray(self.kernel, dtype=float))
-        if kernel.shape != shape:
-            raise DimensionMismatch(
-                f"kernel has shape {kernel.shape}, expected {shape} from the label lists"
-            )
+        kernel = _as_tensor("kernel", self.kernel, shape)
         weights = _as_tensor("weights", self.weights, shape)
-        if not np.all(np.isfinite(kernel)):
-            raise SchemaError("kernel contains non-finite entries")
-        if np.any(kernel < 0):
-            raise SchemaError("kernel contains negative entries; all entries must be >= 0")
 
         sums = kernel.sum(axis=2)
         dev = np.abs(sums - 1.0)
@@ -117,9 +109,8 @@ class MdpModel:
             for x, u in idx:
                 kernel[x, u] /= sums[x, u]
             object.__setattr__(self, "renormalized_rows", idx)
-        else:
-            object.__setattr__(self, "renormalized_rows", tuple(self.renormalized_rows))
         kernel.flags.writeable = False
+        weights.flags.writeable = False
 
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "actions", actions)
@@ -142,6 +133,20 @@ class MdpModel:
         g.flags.writeable = False
         return g
 
+    @cached_property
+    def report(self) -> FeasibilityReport:
+        """Feasibility report, computed once per model (see :func:`validate`)."""
+        gain = self.gain
+        dead = tuple(int(x) for x in np.flatnonzero(gain.sum(axis=2).max(axis=1) == 0.0))
+        return FeasibilityReport(
+            stochastic_ok=not self.renormalized_rows,
+            stochastic_violations=self.renormalized_rows,
+            a0_plus=bool(np.all(self.weights > 0)),
+            a1_plus=bool(np.all(self.kernel > 0)),
+            dead_states=dead,
+            gain_irreducible=_strongly_connected(gain.max(axis=1) > 0),
+        )
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -163,40 +168,17 @@ class FeasibilityReport:
 
 def _strongly_connected(adj: np.ndarray) -> bool:
     graph = csr_matrix(adj.astype(bool))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    n_comp, _ = csgraph.connected_components(graph, directed=True, connection="strong")
     return int(n_comp) == 1
 
 
 def validate(model: MdpModel) -> FeasibilityReport:
-    """Check model feasibility without mutating it.
+    """Feasibility report of a model, without mutating it.
 
-    Raises :class:`NotStochastic` only if a kernel row is off by more than
-    1e-6 (a modeling bug); rows that were renormalized at construction are
-    reported as violations, not errors.
+    The constructor has already rejected kernel rows off by more than 1e-6;
+    rows it renormalized are reported as violations, not errors.
     """
-    sums = model.kernel.sum(axis=2)
-    dev = np.abs(sums - 1.0)
-    bad = np.argwhere(dev > ROW_SUM_RENORM)
-    if bad.size:
-        rows = [tuple(int(i) for i in row) for row in bad]
-        raise NotStochastic(
-            f"kernel rows {rows} have sums deviating from 1 by more than "
-            f"{ROW_SUM_RENORM:g}",
-            violations=rows,
-        )
-    current = tuple((int(x), int(u)) for x, u in np.argwhere(dev > ROW_SUM_SILENT))
-    violations = tuple(sorted(set(model.renormalized_rows) | set(current)))
-
-    gain = model.gain
-    dead = tuple(int(x) for x in np.flatnonzero(gain.sum(axis=2).max(axis=1) == 0.0))
-    return FeasibilityReport(
-        stochastic_ok=not violations,
-        stochastic_violations=violations,
-        a0_plus=bool(np.all(model.weights > 0)),
-        a1_plus=bool(np.all(model.kernel > 0)),
-        dead_states=dead,
-        gain_irreducible=_strongly_connected(gain.max(axis=1) > 0),
-    )
+    return model.report
 
 
 @dataclass(frozen=True)
@@ -435,6 +417,63 @@ def gen_exit_model(P_family: Sequence[np.ndarray], S0: Sequence[int]) -> MdpMode
     )
 
 
+@dataclass(frozen=True)
+class EpsilonParams:
+    """Smoothing amount and mixing distribution for :func:`epsilon_model`."""
+
+    epsilon: float
+    gamma: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not (float(self.epsilon) >= 0 and math.isfinite(float(self.epsilon))):
+            raise ValueError("epsilon must be finite and >= 0")
+        if self.gamma is not None:
+            gamma = np.asarray(self.gamma, dtype=float)
+            if np.any(gamma <= 0) or abs(gamma.sum() - 1.0) > MASS_TOL:
+                raise NotDistribution("gamma must be strictly positive with unit sum")
+            gamma = gamma.copy()
+            gamma.flags.writeable = False
+            object.__setattr__(self, "gamma", gamma)
+
+
+def epsilon_model(model: MdpModel, params: EpsilonParams) -> MdpModel:
+    """Smoothed companion model with everywhere-positive kernel and weights.
+
+    Mixes each gain row with ``epsilon * gamma`` and carries the row's total
+    mass into a constant weight:
+
+        kernel'(x,u,y) = (gain(x,u,y) + eps * gamma(y)) / (a(x,u) + eps)
+        weights'(x,u,y) = a(x,u) + eps,           a(x,u) = sum_y gain(x,u,y).
+
+    The gain tensor is preserved at ``eps = 0`` (identical growth rate) and
+    the smoothed rate decreases monotonically to the original one as
+    ``eps -> 0``.
+    """
+    gain = model.gain
+    a_xu = gain.sum(axis=2)
+    eps = float(params.epsilon)
+    if eps == 0.0 and np.any(a_xu == 0):
+        raise ZeroGainRow(
+            "epsilon = 0 needs every (state, action) to have positive total gain"
+        )
+    gamma = (
+        np.full(model.n_states, 1.0 / model.n_states)
+        if params.gamma is None
+        else np.asarray(params.gamma, dtype=float)
+    )
+    if gamma.shape != (model.n_states,):
+        raise NotDistribution("gamma must have one entry per state")
+    kernel = (gain + eps * gamma[None, None, :]) / (a_xu + eps)[:, :, None]
+    weights = np.broadcast_to((a_xu + eps)[:, :, None], kernel.shape).copy()
+    return MdpModel(
+        states=model.states,
+        actions=model.actions,
+        kernel=kernel,
+        weights=weights,
+        metadata=f"epsilon-smoothed (eps={eps:.17g}) companion of: {model.metadata}",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -454,12 +493,7 @@ def save_model(model: MdpModel, path) -> None:
 
 def load_model(path) -> MdpModel:
     """Read a model file written by :func:`save_model` (or by hand)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
-                         f"{exc.msg}") from exc
+    doc = jsonio.load(path, "model file")
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     extra = sorted(set(doc) - set(_MODEL_FIELDS))
@@ -474,19 +508,13 @@ def load_model(path) -> MdpModel:
     metadata = doc.get("metadata", "")
     if not isinstance(metadata, str):
         raise SchemaError(f"{path}: 'metadata' must be a string")
+    tensors = {}
     for name in ("kernel", "weights"):
         try:
-            arr = np.asarray(doc[name], dtype=float)
+            tensors[name] = np.asarray(doc[name], dtype=float)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: '{name}' must be a numeric tensor") from exc
-        if arr.ndim != 3:
+        if tensors[name].ndim != 3:
             raise SchemaError(f"{path}: '{name}' must be a rank-3 tensor")
-        if np.any(arr < 0):
-            raise SchemaError(f"{path}: '{name}' entries must be nonnegative")
-    return MdpModel(
-        states=tuple(doc["states"]),
-        actions=tuple(doc["actions"]),
-        kernel=np.asarray(doc["kernel"], dtype=float),
-        weights=np.asarray(doc["weights"], dtype=float),
-        metadata=metadata,
-    )
+    return MdpModel(states=tuple(doc["states"]), actions=tuple(doc["actions"]),
+                    metadata=metadata, **tensors)

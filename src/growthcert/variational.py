@@ -11,13 +11,13 @@ the negative relative entropy of the conditional next-state law against the
 objective, feasibility utilities, the attaining measure built from a solved
 eigenpair (the psi-twisted chain), an entropic mirror-ascent maximizer with
 an augmented-Lagrangian treatment of the stationarity constraint, the
-matching dual upper bound ``max_x [log (T e^g)(x) - g(x)]``, and the
-epsilon-smoothed companion model used when positivity assumptions fail.
+matching dual upper bound ``max_x [log (T e^g)(x) - g(x)]``, and the sweep
+of the epsilon-smoothed companion models (:func:`model.epsilon_model`) used
+when positivity assumptions fail.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +30,8 @@ from .errors import (
     SingularChain,
     ZeroGainRow,
 )
-from .model import MdpModel, validate
-
-MASS_TOL = 1e-12
+from .eigensolver import solve_eigen
+from .model import MASS_TOL, EpsilonParams, MdpModel, epsilon_model, validate
 
 
 @dataclass(frozen=True)
@@ -68,15 +67,20 @@ class OccupationMeasure:
 
     def eta1(self) -> np.ndarray:
         """Conditional action law given the state (zero rows stay zero)."""
-        etat = self.eta_tilde()
-        eta0 = etat.sum(axis=1)
-        return np.where(eta0[:, None] > 0, etat / np.where(eta0 > 0, eta0, 1.0)[:, None], 0.0)
+        return _conditionals(self.joint)[1]
 
     def eta2(self) -> np.ndarray:
         """Conditional next-state law given (state, action) (zero rows stay zero)."""
-        etat = self.eta_tilde()
-        safe = np.where(etat > 0, etat, 1.0)
-        return np.where(etat[:, :, None] > 0, self.joint / safe[:, :, None], 0.0)
+        return _conditionals(self.joint)[2]
+
+
+def _conditionals(joint: np.ndarray):
+    """``(eta~, eta1, eta2)`` of a joint tensor; rows without mass stay zero."""
+    etat = joint.sum(axis=2)
+    eta0 = etat.sum(axis=1, keepdims=True)
+    eta1 = etat / np.where(eta0 > 0, eta0, 1.0)
+    eta2 = joint / np.where(etat > 0, etat, 1.0)[:, :, None]
+    return etat, eta1, eta2
 
 
 @dataclass(frozen=True)
@@ -88,25 +92,6 @@ class Certificate:
     gap: float
     eta: OccupationMeasure
     g: np.ndarray
-
-
-@dataclass(frozen=True)
-class EpsilonParams:
-    """Smoothing amount and mixing distribution for :func:`epsilon_model`."""
-
-    epsilon: float
-    gamma: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (float(self.epsilon) >= 0 and math.isfinite(float(self.epsilon))):
-            raise ValueError("epsilon must be finite and >= 0")
-        if self.gamma is not None:
-            gamma = np.asarray(self.gamma, dtype=float)
-            if np.any(gamma <= 0) or abs(gamma.sum() - 1.0) > MASS_TOL:
-                raise NotDistribution("gamma must be strictly positive with unit sum")
-            gamma = gamma.copy()
-            gamma.flags.writeable = False
-            object.__setattr__(self, "gamma", gamma)
 
 
 def relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
@@ -175,6 +160,13 @@ def _stationary(P: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _stationary_measure(phi: np.ndarray, eta2: np.ndarray) -> OccupationMeasure:
+    """Stationary measure of the chain that draws actions by ``phi``, moves by ``eta2``."""
+    P = np.einsum("xu,xuy->xy", phi, eta2)
+    pi = _stationary(P)
+    return OccupationMeasure(pi[:, None, None] * phi[:, :, None] * eta2)
+
+
 def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
     """Occupation measure of the psi-twisted optimal chain.
 
@@ -223,13 +215,10 @@ def random_feasible(model: MdpModel, seed: int) -> OccupationMeasure:
         eta1 /= eta1.sum(axis=1, keepdims=True)
         eta2 = rng.gamma(1.0, size=(s, a, s)) * (model.kernel > 0)
         eta2 /= eta2.sum(axis=2, keepdims=True)
-        P = np.einsum("xu,xuy->xy", eta1, eta2)
         try:
-            pi = _stationary(P)
+            return _stationary_measure(eta1, eta2)
         except SingularChain as exc:
             last_exc = exc
-            continue
-        return OccupationMeasure(pi[:, None, None] * eta1[:, :, None] * eta2)
     raise SingularChain("no usable draw after 10 attempts") from last_exc
 
 
@@ -291,20 +280,11 @@ def _project_feasible(model: MdpModel, joint: np.ndarray) -> OccupationMeasure:
     Keeps the action and next-state conditionals and replaces the state
     marginal with the stationary distribution of the induced chain.
     """
-    s, a = model.n_states, model.n_actions
-    etat = joint.sum(axis=2)
-    eta0 = etat.sum(axis=1)
-    phi = np.where(eta0[:, None] > 0, etat / np.where(eta0 > 0, eta0, 1.0)[:, None], 1.0 / a)
+    etat, phi, eta2 = _conditionals(joint)
+    phi = np.where(etat.sum(axis=1)[:, None] > 0, phi, 1.0 / model.n_actions)
     mask = model.kernel > 0
-    fill = mask / mask.sum(axis=2, keepdims=True)
-    eta2 = np.where(
-        etat[:, :, None] > 0,
-        joint / np.where(etat > 0, etat, 1.0)[:, :, None],
-        fill,
-    )
-    P = np.einsum("xu,xuy->xy", phi, eta2)
-    pi = _stationary(P)
-    return OccupationMeasure(pi[:, None, None] * phi[:, :, None] * eta2)
+    eta2 = np.where(etat[:, :, None] > 0, eta2, mask / mask.sum(axis=2, keepdims=True))
+    return _stationary_measure(phi, eta2)
 
 
 def maximize(
@@ -411,44 +391,6 @@ def certificate_from_eigen(model: MdpModel, eig) -> Certificate:
                        eta=eta, g=g)
 
 
-def epsilon_model(model: MdpModel, params: EpsilonParams) -> MdpModel:
-    """Smoothed companion model with everywhere-positive kernel and weights.
-
-    Mixes each gain row with ``epsilon * gamma`` and carries the row's total
-    mass into a constant weight:
-
-        kernel'(x,u,y) = (gain(x,u,y) + eps * gamma(y)) / (a(x,u) + eps)
-        weights'(x,u,y) = a(x,u) + eps,           a(x,u) = sum_y gain(x,u,y).
-
-    The gain tensor is preserved at ``eps = 0`` (identical growth rate) and
-    the smoothed rate decreases monotonically to the original one as
-    ``eps -> 0``.
-    """
-    gain = model.gain
-    a_xu = gain.sum(axis=2)
-    eps = float(params.epsilon)
-    if eps == 0.0 and np.any(a_xu == 0):
-        raise ZeroGainRow(
-            "epsilon = 0 needs every (state, action) to have positive total gain"
-        )
-    gamma = (
-        np.full(model.n_states, 1.0 / model.n_states)
-        if params.gamma is None
-        else np.asarray(params.gamma, dtype=float)
-    )
-    if gamma.shape != (model.n_states,):
-        raise NotDistribution("gamma must have one entry per state")
-    kernel = (gain + eps * gamma[None, None, :]) / (a_xu + eps)[:, :, None]
-    weights = np.broadcast_to((a_xu + eps)[:, :, None], kernel.shape).copy()
-    return MdpModel(
-        states=model.states,
-        actions=model.actions,
-        kernel=kernel,
-        weights=weights,
-        metadata=f"epsilon-smoothed (eps={eps:.17g}) companion of: {model.metadata}",
-    )
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """One epsilon grid point of :func:`epsilon_sweep`."""
@@ -471,8 +413,6 @@ def epsilon_sweep(
     epsilon decreases (within 1e-9 slack), which is a structural property of
     the smoothing.
     """
-    from .eigensolver import solve_eigen  # local import to avoid a cycle
-
     grid = [float(e) for e in grid]
     if not grid or any(e <= 0 for e in grid):
         raise ValueError("grid must be non-empty with strictly positive entries")

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import growthcert
 from conftest import mild_model, random_positive_model
 from growthcert import Policy, estimate_growth, load_model, save_model, solve_eigen
 from growthcert.cli import run
@@ -222,6 +226,27 @@ def test_usage_errors_exit_4(capsys, tmp_path):
     assert run(["frobnicate"]) == 4
     assert run(["bounds", str(tmp_path / "x.json")]) == 4  # missing --f
     assert run(["solve"]) == 4
+    model = str(tmp_path / "x.json")
+    for argv in (
+        ["solve", model, "--max-iter", "0"],
+        ["solve", model, "--max-iter", "-3"],
+        ["solve", model, "--tol", "nan"],
+        ["solve", model, "--tol", "-1"],
+        ["solve", model, "--tol", "inf"],
+        ["solve", model, "--tol", "0"],
+        ["variational", model, "--iters", "0"],
+        ["variational", model, "--tol", "nan"],
+        ["mc", model, "--policy", model, "--n", "0", "--paths", "10"],
+        ["mc", model, "--policy", model, "--n", "5", "--paths", "-1"],
+        ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--batches", "1"],
+        ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--batches", "x"],
+    ):
+        assert run(argv) == 4, argv
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(growthcert.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "growthcert", "solve", model, "--tol", "nan"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "--tol: must be finite and > 0" in proc.stderr
     capsys.readouterr()  # drain usage noise
 
 

@@ -226,6 +226,14 @@ def test_solution_is_deterministic_bitwise():
     assert_array_equal(a.v_star.phi, b.v_star.phi)
 
 
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+                                    {"tol": float("inf")}, {"max_iter": 0},
+                                    {"max_iter": -5}])
+def test_solve_rejects_invalid_budget_before_iterating(kwargs):
+    with pytest.raises(ValueError, match="tol|max_iter"):
+        solve_eigen(fib_model(), eps_fallback=1e-8, **kwargs)
+
+
 def test_solution_satisfies_eigen_identity():
     for seed in range(5):
         model = random_positive_model(seed)

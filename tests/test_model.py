@@ -77,6 +77,17 @@ def test_tensors_are_frozen():
         model.weights[0, 0, 0] = 0.7
 
 
+def test_model_does_not_alias_caller_arrays():
+    kernel = np.full((2, 1, 2), 0.5)
+    weights = np.ones((2, 1, 2))
+    model = MdpModel(states=["a", "b"], actions=["u"], kernel=kernel, weights=weights)
+    assert kernel.flags.writeable and weights.flags.writeable
+    assert not np.shares_memory(model.kernel, kernel)
+    assert not np.shares_memory(model.weights, weights)
+    weights[0, 0, 0] = 3.0
+    assert model.weights[0, 0, 0] == 1.0
+
+
 def test_row_sum_within_1e12_passes_silently():
     model = _singleton(1.0)
     assert model.renormalized_rows == ()
@@ -140,6 +151,7 @@ def test_validate_is_idempotent_and_pure():
     model = random_positive_model(3)
     kernel_before = model.kernel.copy()
     assert validate(model) == validate(model)
+    assert validate(model) is validate(model) is model.report
     assert_array_equal(model.kernel, kernel_before)
 
 
