@@ -45,13 +45,20 @@ def _positive(kind, above=0):
     """argparse type: a finite ``kind`` value greater than ``above``."""
 
     def parse(text):
-        value = kind(text)
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not (math.isfinite(value) and value > above):
             raise argparse.ArgumentTypeError(f"must be finite and > {above}, got {text!r}")
         return value
 
-    parse.__name__ = kind.__name__
     return parse
+
+
+def _grid(text):
+    """argparse type: comma-separated finite epsilons, each > 0."""
+    return [_positive(float)(v) for v in text.split(",")]
 
 
 def _build_parser() -> _Parser:
@@ -67,13 +74,13 @@ def _build_parser() -> _Parser:
     p.add_argument("model")
     p.add_argument("--tol", type=_positive(float), default=1e-10)
     p.add_argument("--max-iter", type=_positive(int), default=100_000)
-    p.add_argument("--eps-fallback", type=float, default=None)
+    p.add_argument("--eps-fallback", type=_positive(float), default=None)
 
     p = sub.add_parser("variational", help="mirror-ascent lower bound from a random start")
     p.add_argument("model")
     p.add_argument("--iters", type=_positive(int), default=5000)
-    p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--penalty", type=float, default=10.0)
+    p.add_argument("--step", type=_positive(float), default=0.1)
+    p.add_argument("--penalty", type=_positive(float), default=10.0)
     p.add_argument("--tol", type=_positive(float), default=1e-6)
     p.add_argument("--seed", type=int, default=0)
 
@@ -118,7 +125,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eps-sweep", help="growth rates of smoothed companions on a grid")
     p.add_argument("model")
-    p.add_argument("--grid", required=True, metavar="EPS,EPS,...")
+    p.add_argument("--grid", type=_grid, required=True, metavar="EPS,EPS,...")
     p.add_argument("--gamma", default="uniform", choices=["uniform"])
     p.add_argument("--out", required=True)
 
@@ -317,11 +324,7 @@ def _cmd_gen(args) -> tuple[str, int]:
 
 def _cmd_eps_sweep(args) -> tuple[str, int]:
     model = load_model(args.model)
-    try:
-        grid = [float(v) for v in args.grid.split(",")]
-    except ValueError as exc:
-        raise SchemaError(f"cannot parse grid {args.grid!r}: {exc}") from exc
-    points = epsilon_sweep(model, grid)
+    points = epsilon_sweep(model, args.grid)
     lines = ["epsilon,lambda_eps,converged,iterations"]
     for pt in points:
         lam = "" if pt.lambda_eps is None else jsonio.format_float(pt.lambda_eps)

@@ -9,15 +9,19 @@ principal eigenpair ``T psi = rho * psi`` (``rho > 0``, ``psi`` strictly
 positive) carries the optimal growth rate ``lambda = log(rho)`` of expected
 multiplicative reward.
 
-Every iterate is certified by Collatz-Wielandt ratio bounds
+Every answer is certified by the Collatz-Wielandt ratio bounds, valid at
+any strictly positive f,
 
     min_x (T f)(x) / f(x)  <=  rho  <=  max_x (T f)(x) / f(x),
 
-and the iteration stops when the bracket's relative width drops below the
-tolerance.  The update uses the shifted map ``f <- (T f + f) / ||.||``: the
-shift leaves the eigenvector (and the ratio bounds, up to the +1 offset)
-unchanged while suppressing the period-2 oscillation that pure power steps
-exhibit on periodic gain structures, so no separate restart logic is needed.
+and is accepted once the bracket's relative width drops below the
+tolerance.  ``T`` is solved by a damped power loop on the shifted map
+``f <- (T f + f) / ||.||``: the shift leaves the eigenvector (and the ratio
+bounds, up to the +1 offset) unchanged while suppressing the period-2
+oscillation that pure power steps exhibit on periodic gain structures.  A
+fixed policy's linear gain matrix is solved directly: its Perron vector from
+an eigendecomposition is certified by the same bracket, and the power loop
+only finishes the rare matrices whose bracket there is still too wide.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .model import EpsilonParams, MdpModel, Policy, _strongly_connected, epsilon
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
+_POLICY_BATCH = 4096  # policies per batched Perron solve in enumerate_policy_gains
 
 
 @dataclass(frozen=True)
@@ -100,26 +105,39 @@ def cw_bounds(model: MdpModel, f: np.ndarray) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
-def _certified_iteration(step, s: int, tol: float, max_iter: int):
-    """Shared damped power loop.
+def _certified_iteration(step, f: np.ndarray, tol: float, max_iter: int):
+    """The damped power loop, started at the positive vector ``f``.
 
-    ``step(f)`` returns ``T f``.  Returns ``(f, Tf, lower, upper, iters,
-    converged)`` where the bracket is the Collatz-Wielandt one at the
-    returned ``f``.
+    ``step(f)`` returns ``T f``.  The shift ``+ f`` suits ``rho`` near 1, so
+    unless the bracket at ``f`` overlaps [1/2, 2] the loop runs on the exact
+    rescaling ``2**-k T`` with ``k`` taken from that bracket.  Returns ``(f,
+    rho, log_rho, lower, upper, iters, converged)``, the Collatz-Wielandt
+    bracket at the returned ``f`` mapped back to the scale of ``T``.
     """
-    f = np.ones(s)
     tf = step(f)
-    lo = hi = float("nan")
-    for k in range(1, max_iter + 1):
+    ratios = tf / f
+    lo, hi = float(ratios.min()), float(ratios.max())
+    k = 0
+    if 0 < hi < math.inf and not (lo <= 2 and hi >= 0.5):
+        k = round(math.log2(hi) if lo <= 0 else (math.log2(lo) + math.log2(hi)) / 2)
+        unscaled = step
+        tf = np.ldexp(tf, -k)
+
+        def step(g):
+            return np.ldexp(unscaled(g), -k)
+
+    for iters in range(1, max_iter + 1):
         ratios = tf / f
         lo = float(ratios.min())
         hi = float(ratios.max())
-        if lo > 0 and hi - lo <= tol * lo:
-            return f, tf, lo, hi, k, True
+        if ok := lo > 0 and hi - lo <= tol * lo:
+            break
         g = tf + f
         f = g / g.max()
         tf = step(f)
-    return f, tf, lo, hi, max_iter, False
+    rho = float(np.sqrt(lo * hi)) if lo > 0 else 0.0
+    log_rho = float(np.log(rho)) + k * math.log(2) if rho > 0 else float("-inf")
+    return f, math.ldexp(rho, k), log_rho, math.ldexp(lo, k), math.ldexp(hi, k), iters, ok
 
 
 def _solve_direct(model: MdpModel, tol: float, max_iter: int) -> EigenSolution:
@@ -128,12 +146,13 @@ def _solve_direct(model: MdpModel, tol: float, max_iter: int) -> EigenSolution:
     def step(f):
         return (gain @ f).max(axis=1)
 
-    f, tf, lo, hi, iters, ok = _certified_iteration(step, model.n_states, tol, max_iter)
-    rho = float(np.sqrt(lo * hi)) if lo > 0 else 0.0
+    f, rho, log_rho, lo, hi, iters, ok = _certified_iteration(
+        step, np.ones(model.n_states), tol, max_iter
+    )
     _, policy = apply_T(model, f)
     sol = EigenSolution(
         rho=rho,
-        log_rho=float(np.log(rho)) if rho > 0 else float("-inf"),
+        log_rho=log_rho,
         psi=f,
         v_star=policy,
         cw_lower=lo,
@@ -190,50 +209,32 @@ def solve_eigen(
     return _solve_direct(model, tol, max_iter)
 
 
-def _policy_matrices(model: MdpModel, choices: np.ndarray) -> np.ndarray:
-    """Stack of per-policy gain matrices M[p, x, y] for choice rows p."""
-    s = model.n_states
-    return model.gain[np.arange(s)[None, :], choices, :]
+def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
+    """Certified ``log rho(M_p)`` for a stack of irreducible nonnegative matrices.
 
-
-def _linear_power_batch(mats: np.ndarray, tol: float, max_iter: int):
-    """Certified damped power iteration on a stack of nonnegative matrices.
-
-    Returns ``(gains, iters, converged)`` with ``gains[p] = log rho(M_p)``
-    (geometric mean of the final bracket); unconverged entries keep their
-    last bracket's value with ``converged[p] = False``.
+    The modulus of the top eigenvector of each ``M_p`` is its Perron vector,
+    also when a periodic ``M_p`` has several eigenvalues of top modulus.
+    Matrices whose bracket there is wider than ``tol`` go on in the damped
+    loop from that vector (from ones if it has a zero entry).  Returns
+    ``(gains, converged)``, each gain the log of its bracket's geometric mean.
     """
-    p, s, _ = mats.shape
-    f = np.ones((p, s))
-    gains = np.full(p, np.nan)
-    iters = np.zeros(p, dtype=int)
-    done = np.zeros(p, dtype=bool)
-    active = np.arange(p)
-    for k in range(1, max_iter + 1):
-        tf = np.einsum("pxy,py->px", mats[active], f[active])
-        ratios = tf / f[active]
-        lo = ratios.min(axis=1)
-        hi = ratios.max(axis=1)
-        hit = (lo > 0) & (hi - lo <= tol * lo)
-        if hit.any():
-            idx = active[hit]
-            gains[idx] = 0.5 * (np.log(lo[hit]) + np.log(hi[hit]))
-            iters[idx] = k
-            done[idx] = True
-        if done.all():
-            return gains, iters, done
-        keep = ~hit
-        g = tf[keep] + f[active[keep]]
-        f[active[keep]] = g / g.max(axis=1, keepdims=True)
-        active = active[keep]
-    # leftovers: best-effort value from the last bracket
-    tf = np.einsum("pxy,py->px", mats[active], f[active])
-    ratios = tf / f[active]
-    lo = np.maximum(ratios.min(axis=1), 1e-300)
-    hi = ratios.max(axis=1)
-    gains[active] = 0.5 * (np.log(lo) + np.log(hi))
-    iters[active] = max_iter
-    return gains, iters, done
+    if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
+        raise ValueError("tol must be finite and > 0, and max_iter >= 1")
+    vals, vecs = np.linalg.eig(mats)
+    top = np.abs(vals).argmax(axis=1)
+    f = np.abs(np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f /= f.max(axis=1, keepdims=True)
+        f[~(f > 0).all(axis=1)] = 1.0
+        ratios = np.einsum("pxy,py->px", mats, f) / f
+        lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+        gains = 0.5 * (np.log(lo) + np.log(hi))
+    done = (lo > 0) & (hi - lo <= tol * lo)
+    for p in np.flatnonzero(~done):
+        _, _, gains[p], _, _, _, done[p] = _certified_iteration(
+            lambda g, m=mats[p]: m @ g, f[p], tol, max_iter
+        )
+    return gains, done
 
 
 def fixed_policy_gain(
@@ -245,18 +246,21 @@ def fixed_policy_gain(
     """Growth rate ``log rho(M_phi)`` of one stationary policy.
 
     ``M_phi(x, y) = sum_u phi(u|x) kernel(x,u,y) weights(x,u,y)`` is linear,
-    so this is a certified power iteration on a single matrix.  Requires
+    so this is a direct Perron solve of a single matrix, certified by its
+    Collatz-Wielandt bracket (see :func:`_perron_gains`).  Requires
     ``M_phi`` irreducible; callers holding a reducible policy should perturb
-    it or smooth the model first.
+    it or smooth the model first.  A non-finite or non-positive ``tol`` or a
+    ``max_iter`` below 1 is a ``ValueError``, here and in
+    :func:`enumerate_policy_gains`.
     """
     mat = np.einsum("xu,xuy->xy", phi.phi, model.gain)
     if not _strongly_connected(mat > 0):
         raise ReducibleGain("policy gain matrix is not irreducible")
-    gains, iters, done = _linear_power_batch(mat[None], tol, max_iter)
+    gains, done = _perron_gains(mat[None], tol, max_iter)
     if not done[0]:
         raise NoConvergence(
             f"policy gain iteration did not converge within {max_iter} iterations",
-            iterations=int(iters[0]),
+            iterations=max_iter,
         )
     return float(gains[0])
 
@@ -266,15 +270,15 @@ def enumerate_policy_gains(
     cap: int = 1_000_000,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    batch: int = 4096,
 ):
     """Exhaustive sweep of all deterministic stationary policies.
 
     Returns ``(best_policy, best_gain, table)`` where ``table`` is a list of
     ``(choices_tuple, gain_or_None)`` rows in lexicographic order of the
-    per-state action choices.  Policies whose gain matrix is reducible get a
-    ``None`` gain (the certified iteration cannot bracket them) and are
-    skipped for the maximum; ties go to the lexicographically first policy.
+    per-state action choices, each gain a batched direct Perron solve (see
+    :func:`fixed_policy_gain`).  Policies whose gain matrix is reducible get
+    a ``None`` gain (no positive vector closes their bracket) and are skipped
+    for the maximum; ties go to the lexicographically first policy.
     """
     s, a = model.n_states, model.n_actions
     total = a**s
@@ -283,35 +287,20 @@ def enumerate_policy_gains(
     gain_rows_positive = (model.gain > 0).all(axis=2)
 
     table: list[tuple[tuple[int, ...], float | None]] = []
-    best_gain = -np.inf
-    best_choices: tuple[int, ...] | None = None
     all_choices = itertools.product(range(a), repeat=s)
-    while True:
-        chunk = list(itertools.islice(all_choices, batch))
-        if not chunk:
-            break
+    while chunk := list(itertools.islice(all_choices, _POLICY_BATCH)):
         choices = np.array(chunk, dtype=int)
-        usable = np.ones(len(chunk), dtype=bool)
-        if not gain_rows_positive.all():
-            full = gain_rows_positive[np.arange(s)[None, :], choices].all(axis=1)
-            mats_all = _policy_matrices(model, choices)
-            for i in np.flatnonzero(~full):
-                usable[i] = _strongly_connected(mats_all[i] > 0)
-            mats = mats_all[usable]
-        else:
-            mats = _policy_matrices(model, choices)
+        mats = model.gain[np.arange(s), choices]
+        usable = gain_rows_positive[np.arange(s), choices].all(axis=1)
+        for i in np.flatnonzero(~usable):
+            usable[i] = _strongly_connected(mats[i] > 0)
         gains = np.full(len(chunk), np.nan)
-        if mats.shape[0]:
-            got, _, done = _linear_power_batch(mats, tol, max_iter)
-            got[~done] = np.nan
-            gains[usable] = got
-        for row, g in zip(chunk, gains):
-            value = None if np.isnan(g) else float(g)
-            table.append((tuple(row), value))
-            if value is not None and value > best_gain:
-                best_gain = value
-                best_choices = tuple(row)
-    if best_choices is None:
+        if usable.any():
+            got, done = _perron_gains(mats[usable], tol, max_iter)
+            gains[usable] = np.where(done, got, np.nan)
+        table += [(row, None if np.isnan(g) else float(g)) for row, g in zip(chunk, gains)]
+    scored = [row for row in table if row[1] is not None]
+    if not scored:
         raise ReducibleGain("every deterministic policy has a reducible gain matrix")
-    best = Policy.deterministic(best_choices, a)
-    return best, float(best_gain), table
+    best_choices, best_gain = max(scored, key=lambda row: row[1])  # first of ties
+    return Policy.deterministic(best_choices, a), best_gain, table

@@ -309,8 +309,15 @@ def maximize(
     near-optimality of converged runs.
 
     Returns ``(eta_hat, value, residual)``; raises :class:`NoConvergence`
-    carrying the same triple when the budget runs out first.
+    carrying the same triple when the budget runs out first.  A non-finite
+    or non-positive ``step``, ``penalty`` or ``tol``, or ``iters`` below 1,
+    is a ``ValueError``.
     """
+    for name, value in (("step", step), ("penalty", penalty), ("tol", tol)):
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be finite and > 0")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     report = validate(model)
     if not (report.a0_plus and report.a1_plus):
         raise ZeroGainRow(

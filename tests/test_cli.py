@@ -236,6 +236,15 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         ["solve", model, "--tol", "0"],
         ["variational", model, "--iters", "0"],
         ["variational", model, "--tol", "nan"],
+        ["variational", model, "--step", "0"],
+        ["variational", model, "--step", "-1"],
+        ["variational", model, "--step", "nan"],
+        ["variational", model, "--penalty", "-1"],
+        ["solve", model, "--eps-fallback", "0"],
+        ["solve", model, "--eps-fallback", "nan"],
+        ["eps-sweep", model, "--grid", "0,1", "--out", model],
+        ["eps-sweep", model, "--grid", "1e-2,inf", "--out", model],
+        ["eps-sweep", model, "--grid", "1e-2,x", "--out", model],
         ["mc", model, "--policy", model, "--n", "0", "--paths", "10"],
         ["mc", model, "--policy", model, "--n", "5", "--paths", "-1"],
         ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--batches", "1"],

@@ -22,6 +22,7 @@ from growthcert import (
     Policy,
     apply_T,
     apply_Tn,
+    certificate_from_eigen,
     cw_bounds,
     enumerate_policy_gains,
     fixed_policy_gain,
@@ -234,6 +235,21 @@ def test_solve_rejects_invalid_budget_before_iterating(kwargs):
         solve_eigen(fib_model(), eps_fallback=1e-8, **kwargs)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-6, 1e-3, 1.0, 1e3, 1e200, 1e300])
+def test_solve_is_scale_invariant(scale):
+    # the damped shift must not assume rho near 1: scaling every weight by
+    # ``scale`` only shifts lambda by log(scale), at any magnitude
+    base = random_positive_model(3, s=20, a=3)
+    model = MdpModel(states=base.states, actions=base.actions, kernel=base.kernel,
+                     weights=base.weights * scale)
+    sol = solve_eigen(model)
+    assert sol.converged and sol.iterations <= 100
+    assert sol.cw_lower <= sol.rho <= sol.cw_upper
+    assert_allclose(sol.log_rho - math.log(scale), solve_eigen(base).log_rho,
+                    rtol=0, atol=1e-9)
+    assert certificate_from_eigen(model, sol).gap <= 1e-8
+
+
 def test_solution_satisfies_eigen_identity():
     for seed in range(5):
         model = random_positive_model(seed)
@@ -282,6 +298,64 @@ def test_fixed_policy_gain_randomized_policy_matches_dense_oracle():
     m_phi = np.einsum("xu,xuy->xy", policy.phi, model.gain)
     oracle = math.log(max(abs(np.linalg.eigvals(m_phi))))
     assert_allclose(gain, oracle, rtol=0, atol=1e-9)
+
+
+def _single_action_model(gain: np.ndarray) -> MdpModel:
+    s = gain.shape[0]
+    rows = gain.sum(axis=1, keepdims=True)
+    return MdpModel(states=[f"s{i}" for i in range(s)], actions=["a0"],
+                    kernel=(gain / rows)[:, None, :],
+                    weights=np.broadcast_to(rows, (s, s))[:, None, :])
+
+
+def _log_spectral_radius(mat: np.ndarray) -> float:
+    return math.log(max(abs(np.linalg.eigvals(mat))))
+
+
+def test_fixed_policy_gain_periodic_ring():
+    # a weighted 3-cycle: three eigenvalues share the top modulus
+    gain = np.roll(np.diag([2.0, 3.0, 5.0]), 1, axis=1)
+    model = _single_action_model(gain)
+    got = fixed_policy_gain(model, Policy.deterministic([0, 0, 0], n_actions=1))
+    assert_allclose(got, math.log(30.0) / 3, rtol=0, atol=1e-10)
+
+
+def test_fixed_policy_gain_closes_a_wide_seed_bracket():
+    # a 30-state path with a self-loop at 0 and a faint return edge: the
+    # bracket at the eigenvector seed is far wider than tol, so the damped
+    # loop has to finish the job
+    s = 30
+    gain = np.zeros((s, s))
+    gain[np.arange(s - 1), np.arange(1, s)] = 1.0
+    gain[0, 0] = 1.0
+    gain[s - 1, 0] = 1e-12
+    vals, vecs = np.linalg.eig(gain)
+    start = np.abs(vecs[:, np.abs(vals).argmax()])
+    ratios = gain @ start / start
+    assert ratios.max() - ratios.min() > 1e-4
+    model = _single_action_model(gain)
+    got = fixed_policy_gain(model, Policy.deterministic([0] * s, n_actions=1))
+    assert_allclose(got, _log_spectral_radius(model.gain[:, 0, :]), rtol=0, atol=1e-10)
+
+
+def test_enumerate_matches_dense_oracle_on_positive_suite():
+    for seed in range(20):
+        model = random_positive_model(seed)
+        _, best_gain, table = enumerate_policy_gains(model)
+        rows = np.arange(model.n_states)
+        oracle = [_log_spectral_radius(model.gain[rows, list(choices), :])
+                  for choices, _ in table]
+        assert_allclose([gain for _, gain in table], oracle, rtol=0, atol=1e-10)
+        assert best_gain == max(gain for _, gain in table)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0}])
+def test_policy_gains_reject_invalid_budget(kwargs):
+    model = random_positive_model(8, s=4, a=3)
+    with pytest.raises(ValueError, match="tol"):
+        fixed_policy_gain(model, Policy.uniform(4, 3), **kwargs)
+    with pytest.raises(ValueError, match="tol"):
+        enumerate_policy_gains(model, **kwargs)
 
 
 def test_fixed_policy_gain_rejects_reducible_chain():

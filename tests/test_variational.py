@@ -270,6 +270,19 @@ def test_maximize_requires_positive_model():
         maximize(fib_model())
 
 
+@pytest.mark.parametrize("kwargs", [{"step": 0.0}, {"step": -1.0}, {"step": float("nan")},
+                                    {"penalty": -1.0}, {"penalty": float("inf")},
+                                    {"tol": 0.0}, {"tol": float("nan")},
+                                    {"iters": 0}, {"iters": -2}])
+def test_maximize_rejects_invalid_arguments_before_iterating(kwargs, monkeypatch):
+    def no_start(*_args, **_kwargs):
+        raise AssertionError("maximize started iterating")
+
+    monkeypatch.setattr("growthcert.variational.random_feasible", no_start)
+    with pytest.raises(ValueError, match="step|penalty|tol|iters"):
+        maximize(random_positive_model(1), **kwargs)
+
+
 def test_maximize_exhausted_budget_carries_certificate():
     model = random_positive_model(1)
     sol = solve_eigen(model)
