@@ -11,10 +11,12 @@ __version__ = "0.1.0"
 
 from .eigensolver import (
     EigenSolution,
+    SweepPoint,
     apply_T,
     apply_Tn,
     cw_bounds,
     enumerate_policy_gains,
+    epsilon_sweep,
     fixed_policy_gain,
     solve_eigen,
 )
@@ -39,7 +41,6 @@ from .errors import (
     ZeroGainRow,
 )
 from .model import (
-    EpsilonParams,
     FeasibilityReport,
     MdpModel,
     Policy,
@@ -55,10 +56,8 @@ from .montecarlo import GrowthEstimate, estimate_growth, sample_log_products, si
 from .variational import (
     Certificate,
     OccupationMeasure,
-    SweepPoint,
     certificate_from_eigen,
     dual_bound,
-    epsilon_sweep,
     maximize,
     objective_psi0,
     random_feasible,

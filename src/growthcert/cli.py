@@ -16,12 +16,10 @@ import time
 import numpy as np
 
 from . import __version__, jsonio
-from .eigensolver import cw_bounds, solve_eigen
+from .eigensolver import cw_bounds, epsilon_sweep, solve_eigen
 from .errors import GrowthcertError, NoConvergence, SchemaError
 from .model import (
-    EpsilonParams,
     Policy,
-    epsilon_model,
     gen_exit_model,
     gen_graph_model,
     gen_portfolio_model,
@@ -30,7 +28,7 @@ from .model import (
     validate,
 )
 from .montecarlo import estimate_growth
-from .variational import certificate_from_eigen, epsilon_sweep, maximize
+from .variational import certificate_from_eigen, maximize
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +47,7 @@ def _positive(kind, above=0):
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not (math.isfinite(value) and value > above):
+        if not above < value < math.inf:
             raise argparse.ArgumentTypeError(f"must be finite and > {above}, got {text!r}")
         return value
 
@@ -57,8 +55,11 @@ def _positive(kind, above=0):
 
 
 def _grid(text):
-    """argparse type: comma-separated finite epsilons, each > 0."""
-    return [_positive(float)(v) for v in text.split(",")]
+    """argparse type: comma-separated finite epsilons, each > 0, strictly decreasing."""
+    grid = [_positive(float)(v) for v in text.split(",")]
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(f"must be strictly decreasing, got {text!r}")
+    return grid
 
 
 def _build_parser() -> _Parser:
@@ -82,7 +83,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--step", type=_positive(float), default=0.1)
     p.add_argument("--penalty", type=_positive(float), default=10.0)
     p.add_argument("--tol", type=_positive(float), default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, above=-1), default=0)
 
     p = sub.add_parser("bounds", help="Collatz-Wielandt bracket at a supplied vector")
     p.add_argument("model")
@@ -95,7 +96,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--paths", type=_positive(int), required=True)
     p.add_argument("--batches", type=_positive(int, above=1), default=20)
     p.add_argument("--x0", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_positive(int, above=-1), default=0)
 
     p = sub.add_parser("gen", help="write a model file from a builtin family")
     gsub = p.add_subparsers(dest="family", required=True, parser_class=_Parser)
@@ -126,7 +127,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("eps-sweep", help="growth rates of smoothed companions on a grid")
     p.add_argument("model")
     p.add_argument("--grid", type=_grid, required=True, metavar="EPS,EPS,...")
-    p.add_argument("--gamma", default="uniform", choices=["uniform"])
     p.add_argument("--out", required=True)
 
     return parser
@@ -208,10 +208,7 @@ def _cmd_solve(args) -> tuple[str, int]:
     t3 = time.perf_counter()
     cert_doc = None
     if sol.converged:
-        cert_model = model
-        if sol.regularized:
-            cert_model = epsilon_model(model, EpsilonParams(epsilon=sol.epsilon))
-        cert = certificate_from_eigen(cert_model, sol)
+        cert = certificate_from_eigen(model, sol)
         cert_doc = {
             "primal_lower": cert.primal_lower,
             "dual_upper": cert.dual_upper,

@@ -22,13 +22,15 @@ oscillation that pure power steps exhibit on periodic gain structures.  A
 fixed policy's linear gain matrix is solved directly: its Perron vector from
 an eigendecomposition is certified by the same bracket, and the power loop
 only finishes the rare matrices whose bracket there is still too wide.
+:func:`epsilon_sweep` solves the epsilon-smoothed companions
+(:func:`model.epsilon_model`) along a decreasing grid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +40,7 @@ from .errors import (
     ReducibleGain,
     TooManyPolicies,
 )
-from .model import EpsilonParams, MdpModel, Policy, _strongly_connected, epsilon_model, validate
+from .model import MdpModel, Policy, _strongly_connected, epsilon_model, validate
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -51,9 +53,9 @@ class EigenSolution:
 
     ``psi`` is normalized to sup-norm 1 with all entries positive;
     ``cw_lower <= rho <= cw_upper`` always holds and ``rho`` is the
-    geometric mean of the final bracket.  ``regularized`` marks solutions
-    obtained on the epsilon-smoothed companion model (``epsilon`` gives the
-    smoothing used).
+    geometric mean of the final bracket.  A positive ``epsilon`` marks a
+    solution of the epsilon-smoothed companion model with that smoothing
+    (``regularized``).
     """
 
     rho: float
@@ -64,8 +66,11 @@ class EigenSolution:
     cw_upper: float
     iterations: int
     converged: bool
-    regularized: bool = False
     epsilon: float = 0.0
+
+    @property
+    def regularized(self) -> bool:
+        return self.epsilon > 0
 
 
 def apply_T(model: MdpModel, f: np.ndarray) -> tuple[np.ndarray, Policy]:
@@ -140,7 +145,8 @@ def _certified_iteration(step, f: np.ndarray, tol: float, max_iter: int):
     return f, math.ldexp(rho, k), log_rho, math.ldexp(lo, k), math.ldexp(hi, k), iters, ok
 
 
-def _solve_direct(model: MdpModel, tol: float, max_iter: int) -> EigenSolution:
+def _solve_direct(model: MdpModel, tol: float, max_iter: int,
+                  epsilon: float = 0.0) -> EigenSolution:
     gain = model.gain
 
     def step(f):
@@ -159,6 +165,7 @@ def _solve_direct(model: MdpModel, tol: float, max_iter: int) -> EigenSolution:
         cw_upper=hi,
         iterations=iters,
         converged=ok,
+        epsilon=epsilon,
     )
     if not ok:
         raise NoConvergence(
@@ -182,12 +189,15 @@ def solve_eigen(
     Models with strictly positive kernel and weights are solved directly.
     When either positivity fails and ``eps_fallback`` is given, the
     epsilon-smoothed companion model (see :func:`model.epsilon_model`) is
-    solved instead and the result is flagged ``regularized`` -- its rate
-    upper-bounds the original one within O(epsilon).  Without a fallback the
-    solver still runs whenever the gain graph is strongly connected and
-    refuses (:class:`ReducibleGain`) otherwise, since the ratio bracket
-    cannot close on a reducible gain structure.  A non-finite or
-    non-positive ``tol`` or a ``max_iter`` below 1 is a ``ValueError``.
+    solved instead and the result, also one carried by :class:`NoConvergence`,
+    records that ``epsilon`` (``regularized``) -- its rate upper-bounds the
+    original one within O(epsilon).  :func:`variational.certificate_from_eigen`
+    takes the original model and certifies against the companion itself.
+    Without a fallback the solver still runs whenever the gain graph is
+    strongly connected and refuses (:class:`ReducibleGain`) otherwise, since
+    the ratio bracket cannot close on a reducible gain structure.  A
+    non-finite or non-positive ``tol`` or a ``max_iter`` below 1 is a
+    ``ValueError``.
     """
     report = validate(model)
     if not (tol > 0 and math.isfinite(tol)):
@@ -198,9 +208,8 @@ def solve_eigen(
         raise ValueError("eps_fallback must be > 0 when given")
     if not (report.a0_plus and report.a1_plus):
         if eps_fallback is not None:
-            smoothed = epsilon_model(model, EpsilonParams(epsilon=eps_fallback))
-            sol = _solve_direct(smoothed, tol, max_iter)
-            return replace(sol, regularized=True, epsilon=float(eps_fallback))
+            eps = float(eps_fallback)
+            return _solve_direct(epsilon_model(model, eps), tol, max_iter, eps)
         if not report.gain_irreducible or report.dead_states:
             raise ReducibleGain(
                 "gain graph is not strongly connected; pass eps_fallback to solve "
@@ -304,3 +313,44 @@ def enumerate_policy_gains(
         raise ReducibleGain("every deterministic policy has a reducible gain matrix")
     best_choices, best_gain = max(scored, key=lambda row: row[1])  # first of ties
     return Policy.deterministic(best_choices, a), best_gain, table
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One epsilon grid point of :func:`epsilon_sweep`."""
+
+    epsilon: float
+    lambda_eps: float | None
+    converged: bool
+    iterations: int
+
+
+def epsilon_sweep(model: MdpModel, grid) -> list[SweepPoint]:
+    """Growth rates of the smoothed companions along a decreasing epsilon grid.
+
+    Grid points where the solver fails are marked rather than aborting the
+    sweep.  The successful points are checked to be non-increasing as
+    epsilon decreases (within 1e-9 slack), which is a structural property of
+    the smoothing.
+    """
+    grid = [float(e) for e in grid]
+    if not grid or any(e <= 0 for e in grid):
+        raise ValueError("grid must be non-empty with strictly positive entries")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly decreasing")
+    points: list[SweepPoint] = []
+    for eps in grid:
+        try:
+            sol = solve_eigen(epsilon_model(model, eps))
+            points.append(SweepPoint(eps, sol.log_rho, True, sol.iterations))
+        except NoConvergence as exc:
+            lam = exc.solution.log_rho if exc.solution is not None else None
+            points.append(SweepPoint(eps, lam, False, exc.iterations))
+    good = [p for p in points if p.converged and p.lambda_eps is not None]
+    for a, b in zip(good, good[1:]):
+        if b.lambda_eps > a.lambda_eps + 1e-9:
+            raise RuntimeError(
+                f"smoothed rate increased from eps={a.epsilon:g} to eps={b.epsilon:g}; "
+                "solver tolerances are inconsistent"
+            )
+    return points

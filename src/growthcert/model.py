@@ -36,7 +36,6 @@ from .errors import (
     DanglingVertex,
     DimensionMismatch,
     NonpositiveWealthFactor,
-    NotDistribution,
     NotStochastic,
     SchemaError,
     ZeroDenominator,
@@ -45,7 +44,6 @@ from .errors import (
 
 ROW_SUM_SILENT = 1e-12
 ROW_SUM_RENORM = 1e-6
-MASS_TOL = 1e-12
 
 _MODEL_FIELDS = ("states", "actions", "kernel", "weights", "metadata")
 
@@ -417,53 +415,30 @@ def gen_exit_model(P_family: Sequence[np.ndarray], S0: Sequence[int]) -> MdpMode
     )
 
 
-@dataclass(frozen=True)
-class EpsilonParams:
-    """Smoothing amount and mixing distribution for :func:`epsilon_model`."""
-
-    epsilon: float
-    gamma: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (float(self.epsilon) >= 0 and math.isfinite(float(self.epsilon))):
-            raise ValueError("epsilon must be finite and >= 0")
-        if self.gamma is not None:
-            gamma = np.asarray(self.gamma, dtype=float)
-            if np.any(gamma <= 0) or abs(gamma.sum() - 1.0) > MASS_TOL:
-                raise NotDistribution("gamma must be strictly positive with unit sum")
-            gamma = gamma.copy()
-            gamma.flags.writeable = False
-            object.__setattr__(self, "gamma", gamma)
-
-
-def epsilon_model(model: MdpModel, params: EpsilonParams) -> MdpModel:
+def epsilon_model(model: MdpModel, epsilon: float) -> MdpModel:
     """Smoothed companion model with everywhere-positive kernel and weights.
 
-    Mixes each gain row with ``epsilon * gamma`` and carries the row's total
-    mass into a constant weight:
+    Mixes each gain row with ``epsilon`` times the uniform row ``1/s`` and
+    carries the row's total mass into a constant weight:
 
-        kernel'(x,u,y) = (gain(x,u,y) + eps * gamma(y)) / (a(x,u) + eps)
+        kernel'(x,u,y) = (gain(x,u,y) + eps / s) / (a(x,u) + eps)
         weights'(x,u,y) = a(x,u) + eps,           a(x,u) = sum_y gain(x,u,y).
 
     The gain tensor is preserved at ``eps = 0`` (identical growth rate) and
     the smoothed rate decreases monotonically to the original one as
-    ``eps -> 0``.
+    ``eps -> 0``.  A negative or non-finite ``epsilon`` is a ``ValueError``.
     """
+    eps = float(epsilon)
+    if not (eps >= 0 and math.isfinite(eps)):
+        raise ValueError("epsilon must be finite and >= 0")
     gain = model.gain
     a_xu = gain.sum(axis=2)
-    eps = float(params.epsilon)
     if eps == 0.0 and np.any(a_xu == 0):
         raise ZeroGainRow(
             "epsilon = 0 needs every (state, action) to have positive total gain"
         )
-    gamma = (
-        np.full(model.n_states, 1.0 / model.n_states)
-        if params.gamma is None
-        else np.asarray(params.gamma, dtype=float)
-    )
-    if gamma.shape != (model.n_states,):
-        raise NotDistribution("gamma must have one entry per state")
-    kernel = (gain + eps * gamma[None, None, :]) / (a_xu + eps)[:, :, None]
+    uniform = np.full(model.n_states, 1.0 / model.n_states)
+    kernel = (gain + eps * uniform[None, None, :]) / (a_xu + eps)[:, :, None]
     weights = np.broadcast_to((a_xu + eps)[:, :, None], kernel.shape).copy()
     return MdpModel(
         states=model.states,

@@ -10,15 +10,16 @@ the negative relative entropy of the conditional next-state law against the
 *unnormalized* gain row ``kernel * weights``.  This module provides the
 objective, feasibility utilities, the attaining measure built from a solved
 eigenpair (the psi-twisted chain), an entropic mirror-ascent maximizer with
-an augmented-Lagrangian treatment of the stationarity constraint, the
-matching dual upper bound ``max_x [log (T e^g)(x) - g(x)]``, and the sweep
-of the epsilon-smoothed companion models (:func:`model.epsilon_model`) used
-when positivity assumptions fail.
+an augmented-Lagrangian treatment of the stationarity constraint, and the
+matching dual upper bound ``max_x [log (T e^g)(x) - g(x)]``.  The module
+takes eigensolutions as data and never calls the eigensolver, so the two
+routes check each other; a regularized eigensolution is certified against
+the epsilon-smoothed companion (:func:`model.epsilon_model`) it solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +31,9 @@ from .errors import (
     SingularChain,
     ZeroGainRow,
 )
-from .eigensolver import solve_eigen
-from .model import MASS_TOL, EpsilonParams, MdpModel, epsilon_model, validate
+from .model import MdpModel, epsilon_model, validate
+
+MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -167,16 +169,23 @@ def _stationary_measure(phi: np.ndarray, eta2: np.ndarray) -> OccupationMeasure:
     return OccupationMeasure(pi[:, None, None] * phi[:, :, None] * eta2)
 
 
+def _solved_model(model: MdpModel, eig) -> MdpModel:
+    """The model ``eig`` is an eigenpair of: ``model``, or its smoothed companion."""
+    return epsilon_model(model, eig.epsilon) if eig.regularized else model
+
+
 def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
     """Occupation measure of the psi-twisted optimal chain.
 
     The twisted kernel ``p*(y|x) = gain(x, v*(x), y) psi(y) / (rho psi(x))``
     is row-stochastic exactly when ``(rho, psi)`` solves the eigenproblem;
     its stationary measure, paired with the greedy policy, attains the
-    variational supremum.
+    variational supremum.  ``model`` is the model that was solved; for a
+    regularized ``eig`` the twist uses its epsilon-smoothed companion.
     """
     if not eig.converged:
         raise NotConverged("twisted occupation needs a converged eigensolution")
+    model = _solved_model(model, eig)
     s, a = model.n_states, model.n_actions
     choices = eig.v_star.choices()
     rows = model.gain[np.arange(s), choices, :]
@@ -343,6 +352,7 @@ def maximize(
 
     used = 0
     while used < iters:
+        base = merit_of(joint)  # g is fixed within a round; accepted steps carry theirs
         for _ in range(min(inner, iters - used)):
             used += 1
             sup = joint > 0
@@ -356,13 +366,12 @@ def maximize(
                 sup, log_gain - cond_log + h[:, None, None] - h[None, None, :], 0.0
             )
             shift = grad.max()
-            base = merit_of(joint)
             alpha = step
             for _ in range(25):
                 cand = joint * np.where(sup, np.exp(alpha * (grad - shift)), 0.0)
                 cand /= cand.sum()
-                if merit_of(cand) > base:
-                    joint = cand
+                if (m := merit_of(cand)) > base:
+                    joint, base = cand, m
                     break
                 alpha *= 0.5
         c = residual_of(joint)
@@ -389,56 +398,15 @@ def maximize(
 
 
 def certificate_from_eigen(model: MdpModel, eig) -> Certificate:
-    """Primal/dual bracket built from a converged eigensolution."""
-    eta = twisted_occupation(model, eig)
-    primal = objective_psi0(model, eta)
+    """Primal/dual bracket built from a converged eigensolution of ``model``.
+
+    A regularized ``eig`` is an unregularized eigenpair of the smoothed
+    companion, which is built once here and bracketed in place of ``model``.
+    """
+    target = _solved_model(model, eig)
+    eta = twisted_occupation(target, replace(eig, epsilon=0.0))
+    primal = objective_psi0(target, eta)
     g = np.log(eig.psi)
-    dual = dual_bound(model, g)
+    dual = dual_bound(target, g)
     return Certificate(primal_lower=primal, dual_upper=dual, gap=dual - primal,
                        eta=eta, g=g)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One epsilon grid point of :func:`epsilon_sweep`."""
-
-    epsilon: float
-    lambda_eps: float | None
-    converged: bool
-    iterations: int
-
-
-def epsilon_sweep(
-    model: MdpModel,
-    grid,
-    gamma: np.ndarray | None = None,
-) -> list[SweepPoint]:
-    """Growth rates of the smoothed companions along a decreasing epsilon grid.
-
-    Grid points where the solver fails are marked rather than aborting the
-    sweep.  The successful points are checked to be non-increasing as
-    epsilon decreases (within 1e-9 slack), which is a structural property of
-    the smoothing.
-    """
-    grid = [float(e) for e in grid]
-    if not grid or any(e <= 0 for e in grid):
-        raise ValueError("grid must be non-empty with strictly positive entries")
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly decreasing")
-    points: list[SweepPoint] = []
-    for eps in grid:
-        smoothed = epsilon_model(model, EpsilonParams(epsilon=eps, gamma=gamma))
-        try:
-            sol = solve_eigen(smoothed)
-            points.append(SweepPoint(eps, sol.log_rho, True, sol.iterations))
-        except NoConvergence as exc:
-            lam = exc.solution.log_rho if exc.solution is not None else None
-            points.append(SweepPoint(eps, lam, False, exc.iterations))
-    good = [p for p in points if p.converged and p.lambda_eps is not None]
-    for a, b in zip(good, good[1:]):
-        if b.lambda_eps > a.lambda_eps + 1e-9:
-            raise RuntimeError(
-                f"smoothed rate increased from eps={a.epsilon:g} to eps={b.epsilon:g}; "
-                "solver tolerances are inconsistent"
-            )
-    return points

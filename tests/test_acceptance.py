@@ -23,13 +23,11 @@ from conftest import (
     random_walk_exit_model,
 )
 from growthcert import (
-    EpsilonParams,
     apply_T,
     apply_Tn,
     cw_bounds,
     dual_bound,
     enumerate_policy_gains,
-    epsilon_model,
     epsilon_sweep,
     estimate_growth,
     fixed_policy_gain,
@@ -127,8 +125,7 @@ def test_criterion_05_golden_ratio_capacity():
     t0 = time.perf_counter()
     model = fib_model()
     sol = solve_eigen(model, eps_fallback=1e-8)
-    companion = epsilon_model(model, EpsilonParams(epsilon=sol.epsilon))
-    eta = twisted_occupation(companion, sol)
+    eta = twisted_occupation(model, sol)
     pi_leave = float(eta.eta2()[0, 0, 1])
     elapsed = time.perf_counter() - t0
 

@@ -60,7 +60,8 @@ def test_gen_then_validate_round_trip(capsys, tmp_path):
 def test_solve_fibonacci_with_fallback(capsys, tmp_path):
     path = _write_fib(capsys, tmp_path)
     code, doc = _invoke_json(capsys, "solve", path, "--tol", "1e-10",
-                             "--eps-fallback", "1e-8")
+                             "--eps-fallback", "1e-8",
+                             "--max-iter", "1" + "0" * 400)  # past float range, still valid
     assert code == 0
     golden = (1 + math.sqrt(5)) / 2
     assert abs(doc["lambda"] - math.log(golden)) <= 1e-6
@@ -249,6 +250,10 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         ["mc", model, "--policy", model, "--n", "5", "--paths", "-1"],
         ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--batches", "1"],
         ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--batches", "x"],
+        ["variational", model, "--seed", "-1"],
+        ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--seed", "-1"],
+        ["eps-sweep", model, "--grid", "1e-2,1e-1", "--out", model],
+        ["eps-sweep", model, "--grid", "1e-2,1e-2", "--out", model],
     ):
         assert run(argv) == 4, argv
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(growthcert.__file__)))

@@ -174,6 +174,10 @@ def test_solve_fibonacci_with_fallback():
     assert sol.regularized and sol.epsilon == 1e-8
     assert abs(sol.rho - path_count_growth(FIB_ADJACENCY)) <= 1e-6
     assert abs(sol.log_rho - math.log((1 + math.sqrt(5)) / 2)) <= 1e-6
+    with pytest.raises(NoConvergence) as info:
+        solve_eigen(fib_model(), eps_fallback=1e-8, max_iter=2)
+    sol = info.value.solution
+    assert not sol.converged and sol.regularized and sol.epsilon == 1e-8
 
 
 def test_solve_matches_policy_enumeration_seed7():

@@ -5,9 +5,12 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import growthcert
 
 PACKAGE = Path(growthcert.__file__).parent
+ROUTES = ("eigensolver", "variational", "montecarlo")
 
 
 def _imports(tree: ast.AST):
@@ -22,7 +25,14 @@ def test_no_function_level_imports():
         assert nested == [], f"{path.name} imports inside a function at lines {nested}"
 
 
-def test_eigensolver_does_not_import_variational():
-    tree = ast.parse((PACKAGE / "eigensolver.py").read_text(encoding="utf-8"))
-    modules = {node.module for node in _imports(tree) if isinstance(node, ast.ImportFrom)}
-    assert "variational" not in modules
+@pytest.mark.parametrize("route", ROUTES)
+def test_routes_do_not_import_each_other(route):
+    """The three routes check each other, so none may import another."""
+    tree = ast.parse((PACKAGE / f"{route}.py").read_text(encoding="utf-8"))
+    names = {
+        part
+        for node in _imports(tree)
+        for alias in node.names
+        for part in f"{getattr(node, 'module', None) or ''}.{alias.name}".split(".")
+    }
+    assert names.isdisjoint(set(ROUTES) - {route})

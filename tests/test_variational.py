@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from conftest import fib_model, random_positive_model
 from growthcert import (
     Certificate,
-    EpsilonParams,
     MdpModel,
     OccupationMeasure,
     certificate_from_eigen,
@@ -351,7 +351,7 @@ def test_certificate_from_eigen_sandwich():
 
 def test_epsilon_zero_preserves_rate_on_positive_model():
     model = random_positive_model(3)
-    companion = epsilon_model(model, EpsilonParams(epsilon=0.0))
+    companion = epsilon_model(model, 0.0)
     assert_allclose(companion.gain, model.gain, rtol=1e-15)
     assert abs(solve_eigen(companion).log_rho - solve_eigen(model).log_rho) <= 1e-12
 
@@ -362,30 +362,45 @@ def test_epsilon_zero_needs_positive_gain_rows():
     weights[0] = 1.0
     model = MdpModel(states=["a", "b"], actions=["u"], kernel=kernel, weights=weights)
     with pytest.raises(ZeroGainRow):
-        epsilon_model(model, EpsilonParams(epsilon=0.0))
+        epsilon_model(model, 0.0)
 
 
 def test_epsilon_model_is_fully_supported():
     for eps in (1e-1, 1e-4, 1e-8):
-        companion = epsilon_model(fib_model(), EpsilonParams(epsilon=eps))
+        companion = epsilon_model(fib_model(), eps)
         report = validate(companion)
         assert report.a0_plus and report.a1_plus
         assert np.all(np.abs(companion.kernel.sum(axis=2) - 1.0) <= 1e-12)
 
 
 def test_epsilon_params_validation():
-    with pytest.raises(ValueError):
-        EpsilonParams(epsilon=-1.0)
-    with pytest.raises(NotDistribution):
-        EpsilonParams(epsilon=0.1, gamma=np.array([0.5, 0.6]))
-    with pytest.raises(NotDistribution):
-        EpsilonParams(epsilon=0.1, gamma=np.array([1.0, 0.0]))
+    for eps in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            epsilon_model(fib_model(), eps)
+
+
+def test_regularized_solution_certifies_itself():
+    model = fib_model()
+    sol = solve_eigen(model, eps_fallback=1e-8)
+    assert sol.regularized
+    companion = epsilon_model(model, sol.epsilon)
+    on_companion = replace(sol, epsilon=0.0)
+    assert not on_companion.regularized
+    cert = certificate_from_eigen(model, sol)
+    expected = certificate_from_eigen(companion, on_companion)
+    for name in ("primal_lower", "dual_upper", "gap"):
+        assert getattr(cert, name) == getattr(expected, name)
+    assert_array_equal(cert.g, expected.g)
+    assert_array_equal(cert.eta.joint, expected.eta.joint)
+    assert_array_equal(twisted_occupation(model, sol).joint,
+                       twisted_occupation(companion, on_companion).joint)
+    assert cert.gap <= 1e-8
 
 
 def test_epsilon_rates_shrink_with_epsilon():
     model = fib_model()
     rates = [
-        solve_eigen(epsilon_model(model, EpsilonParams(epsilon=eps))).log_rho
+        solve_eigen(epsilon_model(model, eps)).log_rho
         for eps in (0.1, 0.01, 0.001)
     ]
     assert rates[0] >= rates[1] >= rates[2]
