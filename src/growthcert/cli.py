@@ -28,7 +28,7 @@ from .model import (
     validate,
 )
 from .montecarlo import estimate_growth
-from .variational import certificate_from_eigen, maximize
+from .variational import certificate_from_eigen, maximize, stationarity_residual
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,13 +77,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iter", type=_positive(int), default=100_000)
     p.add_argument("--eps-fallback", type=_positive(float), default=None)
 
-    p = sub.add_parser("variational", help="mirror-ascent lower bound from a random start")
+    p = sub.add_parser("variational",
+                       help="primal/dual bracket from Newton steps on the smoothed dual")
     p.add_argument("model")
-    p.add_argument("--iters", type=_positive(int), default=5000)
-    p.add_argument("--step", type=_positive(float), default=0.1)
-    p.add_argument("--penalty", type=_positive(float), default=10.0)
+    p.add_argument("--iters", type=_positive(int), default=500)
     p.add_argument("--tol", type=_positive(float), default=1e-6)
-    p.add_argument("--seed", type=_positive(int, above=-1), default=0)
 
     p = sub.add_parser("bounds", help="Collatz-Wielandt bracket at a supplied vector")
     p.add_argument("model")
@@ -95,7 +93,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=_positive(int), required=True)
     p.add_argument("--paths", type=_positive(int), required=True)
     p.add_argument("--batches", type=_positive(int, above=1), default=20)
-    p.add_argument("--x0", type=int, default=0)
+    p.add_argument("--x0", type=_positive(int, above=-1), default=0)
     p.add_argument("--seed", type=_positive(int, above=-1), default=0)
 
     p = sub.add_parser("gen", help="write a model file from a builtin family")
@@ -247,19 +245,17 @@ def _cmd_variational(args) -> tuple[str, int]:
     code = 0
     error = None
     try:
-        eta, value, residual = maximize(model, iters=args.iters, step=args.step,
-                                        penalty=args.penalty, tol=args.tol,
-                                        seed=args.seed)
+        cert = maximize(model, iters=args.iters, tol=args.tol)
     except NoConvergence as exc:
-        if exc.certificate is None:
-            raise
-        eta, value, residual = exc.certificate
+        cert = exc.certificate
         error = {"type": "NoConvergence", "message": str(exc)}
         code = 3
     doc = {
-        "value": value,
-        "residual": residual,
-        "eta": eta.joint,
+        "value": cert.primal_lower,
+        "dual_upper": cert.dual_upper,
+        "gap": cert.gap,
+        "residual": stationarity_residual(cert.eta)[1],
+        "eta": cert.eta.joint,
         "tool_version": __version__,
     }
     if error is not None:
@@ -275,7 +271,14 @@ def _cmd_bounds(args) -> tuple[str, int]:
 
 
 def _cmd_mc(args) -> tuple[str, int]:
+    if args.paths % args.batches:
+        raise argparse.ArgumentError(
+            None, f"--paths ({args.paths}) must be divisible by --batches ({args.batches})")
     model = load_model(args.model)
+    if args.x0 >= model.n_states:
+        raise argparse.ArgumentError(
+            None, f"--x0 {args.x0} does not index a state of this "
+                  f"{model.n_states}-state model")
     policy = _load_policy(args.policy)
     est = estimate_growth(model, policy, n=args.n, paths=args.paths,
                           batches=args.batches, x0=args.x0, seed=args.seed)
@@ -355,6 +358,9 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         text, code = _COMMANDS[args.command](args)
+    except argparse.ArgumentError as exc:  # a usage problem found after parsing
+        sys.stderr.write(f"{parser.prog} {args.command}: error: {exc}\n")
+        return 4
     except GrowthcertError as exc:
         payload = {"type": type(exc).__name__, "message": str(exc)}
         violations = getattr(exc, "violations", None)

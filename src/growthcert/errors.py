@@ -89,8 +89,8 @@ class NoConvergence(GrowthcertError, RuntimeError):
 
     Carries whatever partial progress is available so callers can still
     report it: ``iterations``, ``bracket`` and, when applicable, a partial
-    ``solution`` (eigensolver) or ``certificate`` triple (variational
-    maximizer).
+    ``solution`` (eigensolver) or ``certificate`` (the variational
+    maximizer's last primal/dual bracket).
     """
 
     def __init__(self, message: str, iterations: int = 0, bracket=None,

@@ -9,11 +9,12 @@ occupation measures ``eta(x, u, y)`` whose ``y``-marginal matches their
 the negative relative entropy of the conditional next-state law against the
 *unnormalized* gain row ``kernel * weights``.  This module provides the
 objective, feasibility utilities, the attaining measure built from a solved
-eigenpair (the psi-twisted chain), an entropic mirror-ascent maximizer with
-an augmented-Lagrangian treatment of the stationarity constraint, and the
-matching dual upper bound ``max_x [log (T e^g)(x) - g(x)]``.  The module
-takes eigensolutions as data and never calls the eigensolver, so the two
-routes check each other; a regularized eigensolution is certified against
+eigenpair (the psi-twisted chain), the dual upper bound
+``max_x [log (T e^g)(x) - g(x)]``, and a maximizer that minimizes a soft-max
+smoothing of that bound by Newton's method and reads a stationary measure
+off its solution, so that each run returns both sides of the bracket.  The
+module takes eigensolutions as data and never calls the eigensolver, so the
+two routes check each other; a regularized eigensolution is certified against
 the epsilon-smoothed companion (:func:`model.epsilon_model`) it solves.
 """
 
@@ -257,74 +258,47 @@ def dual_bound(model: MdpModel, g: np.ndarray) -> float:
     return float(np.max(per_state - g))
 
 
-def _ls_multiplier(joint: np.ndarray, log_gain: np.ndarray) -> np.ndarray:
-    """Least-squares multiplier estimate from the current iterate.
+def _smoothed_dual(log_gain: np.ndarray, g: np.ndarray, tau: float):
+    """``F_tau(g)``, the pair values ``L``, soft-max weights ``w`` and Gibbs rows ``q``.
 
-    Fits ``g`` (and a free constant) so that the objective gradient
-    ``log gain - log eta2 + g[x] - g[y]`` is as uniform as possible on the
-    support of the measure; at an optimal measure the fit is exact and the
-    constant is the growth rate.
+    ``L[x, u] = log sum_y gain e^g - g[x]`` is the term :func:`dual_bound`
+    maximizes; ``F_tau = tau * logsumexp(L / tau)`` exceeds ``max L`` by at
+    most ``tau log(s a)``, ``w = softmax(L / tau)`` is its gradient in ``L``
+    and ``q[x, u, :]`` is proportional to ``gain[x, u, :] * e^g``.
     """
-    s = joint.shape[0]
-    idx = np.argwhere(joint > 0)
-    vals = joint[joint > 0]
-    etat = joint.sum(axis=2)
-    q = (
-        log_gain[idx[:, 0], idx[:, 1], idx[:, 2]]
-        - np.log(vals)
-        + np.log(etat[idx[:, 0], idx[:, 1]])
-    )
-    A = np.zeros((len(idx), s + 1))
-    A[np.arange(len(idx)), idx[:, 0]] += 1.0
-    A[np.arange(len(idx)), idx[:, 2]] -= 1.0
-    A[:, s] = -1.0
-    w = np.sqrt(vals)
-    z, *_ = np.linalg.lstsq(A * w[:, None], -q * w, rcond=None)
-    return z[:s]
+    z = log_gain + g
+    zmax = z.max(axis=2, keepdims=True)
+    e = np.exp(z - zmax)
+    norm = e.sum(axis=2)
+    L = zmax[:, :, 0] + np.log(norm) - g[:, None]
+    top = L.max()
+    w = np.exp((L - top) / tau)
+    total = w.sum()
+    return top + tau * np.log(total), L, w / total, e / norm[:, :, None]
 
 
-def _project_feasible(model: MdpModel, joint: np.ndarray) -> OccupationMeasure:
-    """Retract a mass-1 tensor onto the stationarity manifold.
+def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificate:
+    """Primal/dual bracket on the growth rate from the smoothed dual.
 
-    Keeps the action and next-state conditionals and replaces the state
-    marginal with the stationary distribution of the induced chain.
+    Minimizes ``F_tau(g) = tau * logsumexp_{x,u}(L[x, u] / tau)``, a convex
+    soft-max smoothing of :func:`dual_bound` (Nesterov 2005), by Newton's
+    method with an Armijo backtrack, lowering ``tau`` tenfold from 1 after
+    each solve.  At a minimizer of ``F_tau`` the soft-max weights times the
+    Gibbs rows ``gain * e^g`` form a stationary measure.  After each solve
+    the action and next-state laws of that measure are closed with the
+    stationary law of the chain they induce, so the objective there is a
+    true lower bound even for an inexact solve, and ``dual_bound(model, g)``
+    is a true upper bound.  The run stops when their gap is at most
+    ``tol * max(1, |value|)``.
+
+    Returns the :class:`Certificate` (``primal_lower`` is the value);
+    raises :class:`NoConvergence` carrying the last certificate when
+    ``iters`` Newton steps (each Newton system solved counts one) run out
+    first.  A non-finite or non-positive ``tol``, or ``iters`` below 1, is a
+    ``ValueError``.
     """
-    etat, phi, eta2 = _conditionals(joint)
-    phi = np.where(etat.sum(axis=1)[:, None] > 0, phi, 1.0 / model.n_actions)
-    mask = model.kernel > 0
-    eta2 = np.where(etat[:, :, None] > 0, eta2, mask / mask.sum(axis=2, keepdims=True))
-    return _stationary_measure(phi, eta2)
-
-
-def maximize(
-    model: MdpModel,
-    iters: int = 5000,
-    step: float = 0.1,
-    penalty: float = 10.0,
-    tol: float = 1e-6,
-    seed: int = 0,
-    init: OccupationMeasure | None = None,
-):
-    """Entropic mirror ascent of the occupation objective.
-
-    The stationarity constraint is handled by an augmented Lagrangian: inner
-    rounds take exponentiated-gradient steps (with halving on merit
-    decrease) on the mass simplex, outer rounds update the multiplier
-    ``g <- g + penalty * residual``.  After every round the iterate is
-    retracted onto the feasible set; the reported value is the best
-    retracted objective, so it is always a true lower bound.  Termination
-    additionally requires the self-certified duality gap (via the running
-    multiplier) to close to ``10 * tol``, which backs the advertised
-    near-optimality of converged runs.
-
-    Returns ``(eta_hat, value, residual)``; raises :class:`NoConvergence`
-    carrying the same triple when the budget runs out first.  A non-finite
-    or non-positive ``step``, ``penalty`` or ``tol``, or ``iters`` below 1,
-    is a ``ValueError``.
-    """
-    for name, value in (("step", step), ("penalty", penalty), ("tol", tol)):
-        if not (value > 0 and np.isfinite(value)):
-            raise ValueError(f"{name} must be finite and > 0")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError("tol must be finite and > 0")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     report = validate(model)
@@ -333,68 +307,49 @@ def maximize(
             "maximizer needs strictly positive kernel and weights; smooth the "
             "model first (epsilon_model)"
         )
-    start = init if init is not None else random_feasible(model, seed)
-    joint = start.joint.copy()
     log_gain = np.log(model.gain)
-    g = _ls_multiplier(joint, log_gain)
-    inner = 40
-
-    def residual_of(arr):
-        return arr.sum(axis=(0, 1)) - arr.sum(axis=(1, 2))
-
-    def merit_of(arr):
-        c = residual_of(arr)
-        return _psi0_raw(model.gain, arr) - g @ c - 0.5 * penalty * (c @ c)
-
-    best = _project_feasible(model, joint)
-    best_value = _psi0_raw(model.gain, best.joint)
-    prev_value = best_value
-
-    used = 0
-    while used < iters:
-        base = merit_of(joint)  # g is fixed within a round; accepted steps carry theirs
-        for _ in range(min(inner, iters - used)):
-            used += 1
-            sup = joint > 0
-            etat = joint.sum(axis=2)
-            cond_log = np.log(np.where(sup, joint, 1.0)) - np.log(
-                np.where(etat > 0, etat, 1.0)
-            )[:, :, None]
-            c = residual_of(joint)
-            h = g + penalty * c
-            grad = np.where(
-                sup, log_gain - cond_log + h[:, None, None] - h[None, None, :], 0.0
+    s = model.n_states
+    g = np.zeros(s)
+    tau, used = 1.0, 0
+    while True:
+        f, L, w, q = _smoothed_dual(log_gain, g, tau)
+        flow = np.einsum("xu,xuy->xy", w, q)
+        out, into = w.sum(axis=1), flow.sum(axis=0)
+        grad = into - out
+        # sum_w (diag q - q q^T) + Cov_w(q - e_x) / tau, expanded so that one
+        # (s*a) x s product carries both sums of q q^T
+        rows = q.reshape(-1, s)
+        hess = ((1.0 / tau - 1.0) * (rows.T * w.ravel()) @ rows
+                + np.diag(into + out / tau)
+                - (flow + flow.T + np.outer(grad, grad)) / tau)
+        step = np.zeros(s)  # F_tau is flat along the ones vector: pin g[0]
+        step[1:] = np.linalg.solve(hess[1:, 1:], -grad[1:])
+        decrement = -grad @ step
+        used += 1
+        if decrement > 0.01 * tol and used < iters:
+            t = 1.0
+            while t > 1e-10 and (
+                _smoothed_dual(log_gain, g + t * step, tau)[0] > f - t * decrement / 4
+            ):
+                t /= 2
+            g = g + t * step
+            continue
+        # w's action law, as a soft-max per state so that no row underflows to zero
+        phi = np.exp((L - L.max(axis=1, keepdims=True)) / tau)
+        eta = _stationary_measure(phi / phi.sum(axis=1, keepdims=True), q)
+        value = _psi0_raw(model.gain, eta.joint)
+        dual = dual_bound(model, g)
+        cert = Certificate(primal_lower=value, dual_upper=dual, gap=dual - value, eta=eta, g=g)
+        if cert.gap <= tol * max(1.0, abs(value)):
+            return cert
+        if used >= iters:
+            raise NoConvergence(
+                f"smoothed-dual Newton did not close the gap to tol {tol:g} "
+                f"within {iters} iterations",
+                iterations=iters,
+                certificate=cert,
             )
-            shift = grad.max()
-            alpha = step
-            for _ in range(25):
-                cand = joint * np.where(sup, np.exp(alpha * (grad - shift)), 0.0)
-                cand /= cand.sum()
-                if (m := merit_of(cand)) > base:
-                    joint, base = cand, m
-                    break
-                alpha *= 0.5
-        c = residual_of(joint)
-        g = g + penalty * c
-        proj = _project_feasible(model, joint)
-        value = _psi0_raw(model.gain, proj.joint)
-        if value > best_value:
-            best, best_value = proj, value
-        gap = dual_bound(model, -g) - best_value
-        if (
-            abs(value - prev_value) <= tol
-            and float(np.abs(c).max()) <= tol
-            and gap <= 10 * tol * max(1.0, abs(best_value))
-        ):
-            _, res = stationarity_residual(best)
-            return best, best_value, res
-        prev_value = value
-    _, res = stationarity_residual(best)
-    raise NoConvergence(
-        f"mirror ascent did not meet tol {tol:g} within {iters} iterations",
-        iterations=iters,
-        certificate=(best, best_value, res),
-    )
+        tau /= 10.0
 
 
 def certificate_from_eigen(model: MdpModel, eig) -> Certificate:

@@ -104,11 +104,14 @@ def test_variational_command_on_positive_model(capsys, tmp_path):
     model = random_positive_model(3)
     path = str(tmp_path / "model.json")
     save_model(model, path)
-    code, doc = _invoke_json(capsys, "variational", path, "--seed", "1")
+    code, doc = _invoke_json(capsys, "variational", path)
     assert code == 0
     sol = solve_eigen(model)
     assert doc["residual"] <= 1e-6
-    assert sol.log_rho - 1e-4 <= doc["value"] <= sol.log_rho + 1e-9
+    assert doc["value"] <= sol.log_rho + 1e-9
+    assert doc["dual_upper"] >= sol.log_rho - 1e-9
+    assert doc["gap"] == doc["dual_upper"] - doc["value"]
+    assert doc["gap"] <= 1e-6
     eta = np.array(doc["eta"])
     assert abs(eta.sum() - 1.0) <= 1e-9
 
@@ -228,6 +231,10 @@ def test_usage_errors_exit_4(capsys, tmp_path):
     assert run(["bounds", str(tmp_path / "x.json")]) == 4  # missing --f
     assert run(["solve"]) == 4
     model = str(tmp_path / "x.json")
+    fib = _write_fib(capsys, tmp_path)
+    fib_policy = tmp_path / "fib_policy.json"
+    fib_policy.write_text('{"phi": [[1.0], [1.0]]}')
+    on_fib = ["mc", fib, "--policy", str(fib_policy), "--n", "5"]
     for argv in (
         ["solve", model, "--max-iter", "0"],
         ["solve", model, "--max-iter", "-3"],
@@ -254,6 +261,9 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--seed", "-1"],
         ["eps-sweep", model, "--grid", "1e-2,1e-1", "--out", model],
         ["eps-sweep", model, "--grid", "1e-2,1e-2", "--out", model],
+        on_fib + ["--paths", "10", "--batches", "3"],
+        on_fib + ["--paths", "20", "--x0", "9"],
+        on_fib + ["--paths", "20", "--x0", "-1"],
     ):
         assert run(argv) == 4, argv
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(growthcert.__file__)))

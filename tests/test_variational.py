@@ -32,8 +32,10 @@ from growthcert.errors import (
     NotConverged,
     NotDistribution,
     RowSumViolation,
+    SingularChain,
     ZeroGainRow,
 )
+from growthcert.variational import _stationary
 
 
 def _singleton(weight: float) -> MdpModel:
@@ -150,6 +152,11 @@ def test_residual_zero_for_stationary_composition():
     assert max_abs <= 1e-10
 
 
+def test_stationary_of_decomposable_chain_is_singular():
+    with pytest.raises(SingularChain):
+        _stationary(np.eye(2))
+
+
 def test_residual_zero_for_doubly_stochastic_induced_kernel():
     kernel = np.array([[[0.3, 0.7]], [[0.7, 0.3]]])
     model = MdpModel(states=["a", "b"], actions=["u"],
@@ -241,28 +248,33 @@ def test_random_feasible_objective_below_log_rho():
 
 def test_maximize_singleton_is_immediate():
     c = -0.4
-    eta, value, residual = maximize(_singleton(math.exp(c)))
-    assert_allclose(value, c, rtol=0, atol=1e-12)
-    assert residual <= 1e-12
-    assert_allclose(eta.joint, 1.0, rtol=0, atol=1e-12)
+    cert = maximize(_singleton(math.exp(c)))
+    assert_allclose([cert.primal_lower, cert.dual_upper], c, rtol=0, atol=1e-12)
+    assert stationarity_residual(cert.eta)[1] <= 1e-12
+    assert_allclose(cert.eta.joint, 1.0, rtol=0, atol=1e-12)
 
 
 def test_maximize_reaches_log_rho():
     model = random_positive_model(7, s=3, a=2)
     sol = solve_eigen(model)
-    eta, value, residual = maximize(model, tol=1e-6)
-    assert residual <= 1e-6
-    assert sol.log_rho - 1e-4 <= value <= sol.log_rho + 1e-9
+    cert = maximize(model, tol=1e-6)
+    assert stationarity_residual(cert.eta)[1] <= 1e-6
+    assert sol.log_rho - 1e-4 <= cert.primal_lower <= sol.log_rho + 1e-9
 
 
-def test_maximize_from_twisted_start_terminates_fast():
-    model = random_positive_model(7, s=3, a=2)
-    sol = solve_eigen(model)
-    start = twisted_occupation(model, sol)
-    # two outer rounds suffice when started at the optimizer
-    eta, value, residual = maximize(model, iters=2, init=start)
-    assert abs(value - sol.log_rho) <= 1e-8
-    assert residual <= 1e-10
+@pytest.mark.parametrize("seed", range(12))
+def test_maximize_converges_and_certifies_its_gap(seed):
+    """Five of these twelve models exhausted the budget of the mirror-ascent maximizer."""
+    model = random_positive_model(seed, s=8 + seed % 5, a=3)
+    lam = solve_eigen(model).log_rho
+    tol = 1e-6
+    cert = maximize(model, tol=tol)
+    assert cert.gap <= 10 * tol * max(1.0, abs(lam))
+    assert cert.primal_lower <= lam + 1e-9
+    assert cert.dual_upper >= lam - 1e-9
+    assert_allclose(cert.primal_lower, objective_psi0(model, cert.eta), rtol=0, atol=0)
+    assert_allclose(cert.dual_upper, dual_bound(model, cert.g), rtol=0, atol=0)
+    assert stationarity_residual(cert.eta)[1] <= tol
 
 
 def test_maximize_requires_positive_model():
@@ -270,16 +282,16 @@ def test_maximize_requires_positive_model():
         maximize(fib_model())
 
 
-@pytest.mark.parametrize("kwargs", [{"step": 0.0}, {"step": -1.0}, {"step": float("nan")},
-                                    {"penalty": -1.0}, {"penalty": float("inf")},
-                                    {"tol": 0.0}, {"tol": float("nan")},
-                                    {"iters": 0}, {"iters": -2}])
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": float("nan")},
+                                    {"iters": 0}, {"iters": -2},
+                                    {"tol": -1e-6}, {"tol": float("inf")},
+                                    {"tol": float("-inf")}])
 def test_maximize_rejects_invalid_arguments_before_iterating(kwargs, monkeypatch):
-    def no_start(*_args, **_kwargs):
+    def no_iteration(*_args, **_kwargs):
         raise AssertionError("maximize started iterating")
 
-    monkeypatch.setattr("growthcert.variational.random_feasible", no_start)
-    with pytest.raises(ValueError, match="step|penalty|tol|iters"):
+    monkeypatch.setattr("growthcert.variational._smoothed_dual", no_iteration)
+    with pytest.raises(ValueError, match="tol|iters"):
         maximize(random_positive_model(1), **kwargs)
 
 
@@ -288,9 +300,12 @@ def test_maximize_exhausted_budget_carries_certificate():
     sol = solve_eigen(model)
     with pytest.raises(NoConvergence) as exc_info:
         maximize(model, iters=3)
-    eta, value, residual = exc_info.value.certificate
-    assert value <= sol.log_rho + 1e-9  # still a true lower bound
-    _, max_abs = stationarity_residual(eta)
+    assert exc_info.value.iterations == 3
+    cert = exc_info.value.certificate
+    assert cert.primal_lower <= sol.log_rho + 1e-9  # still a true bracket
+    assert cert.dual_upper >= sol.log_rho - 1e-9
+    assert cert.gap == cert.dual_upper - cert.primal_lower
+    _, max_abs = stationarity_residual(cert.eta)
     assert max_abs <= 1e-9
 
 
