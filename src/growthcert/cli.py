@@ -39,16 +39,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(4, f"{self.prog}: error: {message}\n")
 
 
-def _positive(kind, above=0):
-    """argparse type: a finite ``kind`` value greater than ``above``."""
+def _positive(kind, above=0, below=math.inf):
+    """argparse type: a finite ``kind`` value greater than ``above`` and below ``below``."""
 
     def parse(text):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-        if not above < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and > {above}, got {text!r}")
+        if not above < value < below:
+            limit = "" if below == math.inf else f" and < {below}"
+            raise argparse.ArgumentTypeError(f"must be finite and > {above}{limit}, got {text!r}")
         return value
 
     return parse
@@ -94,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--paths", type=_positive(int), required=True)
     p.add_argument("--batches", type=_positive(int, above=1), default=20)
     p.add_argument("--x0", type=_positive(int, above=-1), default=0)
-    p.add_argument("--seed", type=_positive(int, above=-1), default=0)
+    p.add_argument("--seed", type=_positive(int, above=-1, below=2 ** 64), default=0)
 
     p = sub.add_parser("gen", help="write a model file from a builtin family")
     gsub = p.add_subparsers(dest="family", required=True, parser_class=_Parser)

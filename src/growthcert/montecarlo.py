@@ -3,8 +3,11 @@
 Paths are sampled with the counter-based Philox generator keyed by
 ``(seed, path index)``, so every path owns an independent, reproducible
 stream: results are bitwise identical for a given seed regardless of how
-the path loop is chunked or ordered.  Each step consumes two uniforms
-(action draw, next-state draw) via inverse CDF lookup.
+the path loop is chunked or ordered.  Each block of paths re-keys one
+Philox bit generator per path rather than constructing a ``Generator``
+per path; the uniforms are the same bits ``Generator.random`` would give.
+Each step consumes two uniforms (action draw, next-state draw) via inverse
+CDF lookup.
 
 Estimates aggregate path products in log space with max-shifted sums;
 products that hit a zero reward factor contribute the minus-infinity
@@ -17,9 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .model import MdpModel, Policy
 
-_BLOCK = 1 << 16
+_BLOCK_UNIFORMS = 1 << 21  # uniforms per block of paths (16 MB of float64)
+_CONVERT = 1 << 15  # uniforms converted per ufunc call, bounding its temporary
 
 
 @dataclass(frozen=True)
@@ -42,11 +47,29 @@ class GrowthEstimate:
 
 
 def _path_uniforms(seed: int, first_path: int, count: int, n: int) -> np.ndarray:
-    """Uniforms[count, n, 2] for paths first_path..first_path+count-1."""
+    """Uniforms[count, n, 2] for paths first_path..first_path+count-1.
+
+    Path ``p`` reads the stream of ``Philox(key=[seed, p])`` from a zero
+    counter: one bit generator is re-keyed per path, its raw 64-bit words
+    are written into the block in place, and the block is converted with
+    ``Generator.random``'s formula ``(word >> 11) * 2**-53``, so every value
+    is bit-identical to ``Generator(Philox(key=[seed, p])).random((n, 2))``.
+    """
     out = np.empty((count, n, 2))
-    for j in range(count):
-        key = np.array([seed, first_path + j], dtype=np.uint64)
-        out[j] = np.random.Generator(np.random.Philox(key=key)).random((n, 2))
+    words = out.reshape(count, 2 * n).view(np.uint64)
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    state = bits.state  # zero counter, empty buffer (buffer_pos 4)
+    key = state["state"]["key"]
+    for j, row in enumerate(words):
+        key[1] = first_path + j
+        bits.state = state
+        row[:] = bits.random_raw(2 * n)
+    flat, flat_words = out.reshape(-1), words.reshape(-1)
+    for i in range(0, flat.size, _CONVERT):
+        w = flat_words[i:i + _CONVERT]
+        np.right_shift(w, 11, out=w)
+        # in place across dtypes: numpy copies the input, so go in slices
+        np.multiply(w, 2.0 ** -53, out=flat[i:i + _CONVERT])
     return out
 
 
@@ -80,7 +103,7 @@ def _evolve(model: MdpModel, policy: Policy, x0: int, uniforms: np.ndarray,
 
 def _check_common(model: MdpModel, policy: Policy, n: int, x0: int, seed: int):
     if policy.phi.shape != (model.n_states, model.n_actions):
-        raise ValueError(
+        raise DimensionMismatch(
             f"policy shape {policy.phi.shape} does not match model "
             f"({model.n_states}, {model.n_actions})"
         )
@@ -88,8 +111,8 @@ def _check_common(model: MdpModel, policy: Policy, n: int, x0: int, seed: int):
         raise ValueError("n must be >= 1")
     if not (0 <= x0 < model.n_states):
         raise ValueError(f"x0 must index a state (0..{model.n_states - 1})")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError("seed must be in 0..2**64-1")
 
 
 def simulate(model: MdpModel, policy: Policy, n: int, x0: int = 0, seed: int = 0):
@@ -112,8 +135,9 @@ def sample_log_products(model: MdpModel, policy: Policy, n: int, paths: int,
     if paths < 1:
         raise ValueError("paths must be >= 1")
     out = np.empty(paths)
-    for start in range(0, paths, _BLOCK):
-        count = min(_BLOCK, paths - start)
+    block = max(1, _BLOCK_UNIFORMS // (2 * n))
+    for start in range(0, paths, block):
+        count = min(block, paths - start)
         logs, _, _ = _evolve(model, policy, x0,
                              _path_uniforms(seed, start, count, n))
         out[start:start + count] = logs

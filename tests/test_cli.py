@@ -210,6 +210,17 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert "line 1" in doc["error"]["message"]
 
 
+def test_mc_policy_shape_mismatch_exits_2_typed(capsys, tmp_path):
+    fib = _write_fib(capsys, tmp_path)
+    policy = tmp_path / "three_rows.json"
+    policy.write_text('{"phi": [[1.0], [1.0], [1.0]]}')
+    code, doc = _invoke_json(capsys, "mc", fib, "--policy", str(policy),
+                             "--n", "5", "--paths", "40")
+    assert code == 2
+    assert doc["error"] == {"type": "DimensionMismatch",
+                            "message": "policy shape (3, 1) does not match model (2, 1)"}
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, doc = _invoke_json(capsys, "solve", str(tmp_path / "absent.json"))
     assert code == 2
@@ -264,6 +275,7 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         on_fib + ["--paths", "10", "--batches", "3"],
         on_fib + ["--paths", "20", "--x0", "9"],
         on_fib + ["--paths", "20", "--x0", "-1"],
+        on_fib + ["--paths", "40", "--seed", str(2 ** 64)],
     ):
         assert run(argv) == 4, argv
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(growthcert.__file__)))

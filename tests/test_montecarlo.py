@@ -13,6 +13,7 @@ from growthcert import (
     MdpModel,
     Policy,
     estimate_growth,
+    montecarlo,
     sample_log_products,
     simulate,
     solve_eigen,
@@ -101,6 +102,9 @@ def test_simulate_validates_arguments():
         simulate(model, _trivial(model), n=1, x0=7)
     with pytest.raises(ValueError, match="policy shape"):
         simulate(model, Policy.uniform(2, 3), n=1)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(model, _trivial(model), n=1, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +120,36 @@ def test_sample_log_products_bitwise_reproducible():
     # paths are keyed individually, so a prefix of a larger run matches
     c = sample_log_products(model, policy, n=30, paths=100, seed=5)
     assert_array_equal(a[:100], c)
+
+
+def _reference_uniforms(seed: int, first_path: int, count: int, n: int) -> np.ndarray:
+    """One freshly built Generator per path: the stream contract, spelled out."""
+    return np.stack([
+        np.random.Generator(np.random.Philox(
+            key=np.array([seed, first_path + j], dtype=np.uint64))).random((n, 2))
+        for j in range(count)
+    ])
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("n", [1, 6, 200])
+def test_streams_match_per_path_generators_bit_for_bit(monkeypatch, n, seed):
+    model = mild_model(5)
+    policy = Policy.uniform(model.n_states, model.n_actions)
+    paths = 37
+    got = montecarlo._path_uniforms(seed, 1_000_003, paths, n)
+    want = _reference_uniforms(seed, 1_000_003, paths, n)
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    reference, _, _ = montecarlo._evolve(model, policy, 0,
+                                         _reference_uniforms(seed, 0, paths, n))
+    one_block = sample_log_products(model, policy, n=n, paths=paths, seed=seed)
+    # five paths per block (the last one partial), converted seven words at a time
+    monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", 5 * 2 * n)
+    monkeypatch.setattr(montecarlo, "_CONVERT", 7)
+    many_blocks = sample_log_products(model, policy, n=n, paths=paths, seed=seed)
+    assert_array_equal(one_block.view(np.uint64), reference.view(np.uint64))
+    assert_array_equal(many_blocks.view(np.uint64), reference.view(np.uint64))
 
 
 def test_estimate_constant_chain_recovers_rate_exactly():
