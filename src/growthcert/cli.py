@@ -146,18 +146,32 @@ def _parse_adjacency(text: str) -> np.ndarray:
         raise SchemaError(f"cannot parse adjacency {text!r}: {exc}") from exc
 
 
+def _parse_indices(text: str) -> list[int]:
+    try:
+        return [int(i) for i in text.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"cannot parse indices {text!r}: {exc}") from exc
+
+
+def _float_array(value, path, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {what} must be a rectangular array of numbers: {exc}") from exc
+
+
 def _load_vector(path) -> np.ndarray:
     doc = jsonio.load(path, "vector file")
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: vector file must be a JSON array")
-    return np.asarray(doc, dtype=float)
+    return _float_array(doc, path, "vector")
 
 
 def _load_policy(path) -> Policy:
     doc = jsonio.load(path, "policy file")
     if not isinstance(doc, dict) or "phi" not in doc:
         raise SchemaError(f"{path}: policy file must be an object with field 'phi'")
-    phi = np.asarray(doc["phi"], dtype=float)
+    phi = _float_array(doc["phi"], path, "'phi'")
     kind = "deterministic" if np.all(np.isin(phi, (0.0, 1.0))) else "randomized"
     return Policy(phi, kind=kind)
 
@@ -301,6 +315,9 @@ def _cmd_gen(args) -> tuple[str, int]:
     elif args.family == "portfolio":
         grid = [vec.ravel() for vec in map(_parse_matrix, args.grid.split(";"))]
         support_doc = jsonio.load(args.support, "support file")
+        if not (isinstance(support_doc, list)
+                and all(isinstance(row, list) for row in support_doc)):
+            raise SchemaError(f"{args.support}: support file must be a list of lists")
         model = gen_portfolio_model(
             Q=_parse_matrix(args.q),
             w_support=support_doc,
@@ -311,7 +328,7 @@ def _cmd_gen(args) -> tuple[str, int]:
     else:
         model = gen_exit_model(
             [_parse_matrix(p) for p in args.p],
-            [int(i) for i in args.s0.split(",")],
+            _parse_indices(args.s0),
         )
     save_model(model, args.out)
     doc = {

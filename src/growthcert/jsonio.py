@@ -10,6 +10,13 @@ double exactly).
 NaN is rejected outright -- nothing in this package is allowed to produce
 one -- and infinities are emitted as the JSON strings ``"inf"`` / ``"-inf"``
 since JSON has no number literal for them.
+
+A finite float ndarray is rendered in one step: a printf template built from
+its shape (``"%.17g"`` nested in ``"[...]"`` axis by axis, last axis first)
+is applied with ``%`` to its flattened elements.  ``%.17g`` and
+``format(x, ".17g")`` use the same double formatter, so the bytes equal
+those of the per-element path, which every other array (non-finite, integer,
+boolean) and every list still takes.
 """
 
 from __future__ import annotations
@@ -54,7 +61,12 @@ def _emit(value, depth: int) -> str:
         )
         return "{\n" + items + "\n" + _INDENT * depth + "}"
     if isinstance(value, np.ndarray):
-        value = value.tolist()
+        if value.dtype.kind == "f" and np.isfinite(value).all():
+            template = "%.17g"
+            for size in reversed(value.shape):
+                template = "[" + ", ".join([template] * size) + "]"
+            return template % tuple(value.ravel().tolist())
+        return _emit(value.tolist(), depth)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_emit(v, depth) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")

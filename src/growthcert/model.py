@@ -306,13 +306,18 @@ def gen_portfolio_model(
         if np.any(a_vec < 0) or a_vec.sum() > 1 + 1e-12:
             raise SchemaError(f"allocation {j} must satisfy a_i >= 0 and sum(a) <= 1")
 
+    if len(w_support) != s or any(len(row) != s for row in w_support):
+        raise DimensionMismatch("w_support must provide one entry per (x, y) pair")
     support = []
     for x in range(s):
         row = []
-        if len(w_support[x]) != s:
-            raise DimensionMismatch("w_support must provide one entry per (x, y) pair")
         for y in range(s):
-            pairs = [(float(p), np.asarray(w, dtype=float)) for p, w in w_support[x][y]]
+            try:
+                pairs = [(float(p), np.asarray(w, dtype=float)) for p, w in w_support[x][y]]
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(
+                    f"w_support[{x}][{y}] must hold (probability, vector) pairs: {exc}"
+                ) from exc
             if not pairs:
                 raise DimensionMismatch(f"w_support[{x}][{y}] is empty")
             total = sum(p for p, _ in pairs)

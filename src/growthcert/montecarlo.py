@@ -16,6 +16,7 @@ marker, never a NaN.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,10 @@ def _check_common(model: MdpModel, policy: Policy, n: int, x0: int, seed: int):
         raise ValueError("n must be >= 1")
     if not (0 <= x0 < model.n_states):
         raise ValueError(f"x0 must index a state (0..{model.n_states - 1})")
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be in 0..2**64-1")
 

@@ -221,6 +221,39 @@ def test_mc_policy_shape_mismatch_exits_2_typed(capsys, tmp_path):
                             "message": "policy shape (3, 1) does not match model (2, 1)"}
 
 
+@pytest.mark.parametrize("command, text, expected", [
+    ("mc", '{"phi": [[1.0], [1.0, 0.0]]}', "SchemaError"),
+    ("mc", '{"phi": [["a"], [1.0]]}', "SchemaError"),
+    ("mc", '{"phi": [{"x": 1}, [1.0]]}', "SchemaError"),
+    ("bounds", '["a", 1.0]', "SchemaError"),
+    ("bounds", '[[1.0], 1.0]', "SchemaError"),
+    ("exit", None, "SchemaError"),
+    ("portfolio", '{"x": 1}', "SchemaError"),
+    ("portfolio", '[1, 2]', "SchemaError"),
+    ("portfolio", '[[[[0.6]]]]', "SchemaError"),
+    ("portfolio", '[[[[1.0, ["a"]]]]]', "SchemaError"),
+    ("portfolio", '[[[[1.0, [1.1]]]], [[[1.0, [1.1]]]]]', "DimensionMismatch"),
+])
+def test_malformed_reader_input_exits_2_typed(capsys, tmp_path, command, text, expected):
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    out = str(tmp_path / "out.json")
+    if command == "mc":
+        argv = ["mc", _write_fib(capsys, tmp_path), "--policy", str(path), "--n", "5",
+                "--paths", "40"]
+    elif command == "bounds":
+        argv = ["bounds", _write_fib(capsys, tmp_path), "--f", str(path)]
+    elif command == "exit":
+        argv = ["gen", "exit", "--p", "1,0,0;0.5,0,0.5;0,0,1", "--s0", "a", "--out", out]
+    else:
+        argv = ["gen", "portfolio", "--q", "1.0", "--theta", "2.0", "--r-bank", "0.05",
+                "--grid", "0.0;1.0", "--support", str(path), "--out", out]
+    code, doc = _invoke_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == expected
+
+
 def test_missing_file_exits_2(capsys, tmp_path):
     code, doc = _invoke_json(capsys, "solve", str(tmp_path / "absent.json"))
     assert code == 2

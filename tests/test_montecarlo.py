@@ -102,9 +102,13 @@ def test_simulate_validates_arguments():
         simulate(model, _trivial(model), n=1, x0=7)
     with pytest.raises(ValueError, match="policy shape"):
         simulate(model, Policy.uniform(2, 3), n=1)
-    for seed in (-1, 2 ** 64):
+    for seed in (-1, 2 ** 64, 1.5, 1.0, "1", None):
         with pytest.raises(ValueError, match="seed"):
             simulate(model, _trivial(model), n=1, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        estimate_growth(model, _trivial(model), n=1, paths=4, batches=2, seed=1.5)
+    assert simulate(model, _trivial(model), n=3, seed=np.uint64(1))[2] == \
+        simulate(model, _trivial(model), n=3, seed=1)[2]
 
 
 # ---------------------------------------------------------------------------
