@@ -12,6 +12,8 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -180,24 +182,18 @@ def _policy_doc(policy: Policy) -> dict:
     return {"kind": policy.kind, "phi": policy.phi}
 
 
-def _report_doc(report) -> dict:
-    return {
-        "stochastic_ok": report.stochastic_ok,
-        "stochastic_violations": [list(v) for v in report.stochastic_violations],
-        "a0_plus": report.a0_plus,
-        "a1_plus": report.a1_plus,
-        "dead_states": list(report.dead_states),
-        "gain_irreducible": report.gain_irreducible,
-    }
+def _write_out(path, write) -> None:
+    """Call ``write(path)``; an ``--out`` path that cannot be written is a usage error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise argparse.ArgumentError(None, f"--out: {exc}") from None
 
 
 def _cmd_validate(args) -> tuple[str, int]:
     model = load_model(args.model)
-    report = validate(model)
-    doc = {"model": args.model}
-    doc.update(_report_doc(report))
-    doc["states"] = model.n_states
-    doc["actions"] = model.n_actions
+    doc = {"model": args.model, **asdict(validate(model)),
+           "states": model.n_states, "actions": model.n_actions}
     return jsonio.dumps(doc), 0
 
 
@@ -297,16 +293,7 @@ def _cmd_mc(args) -> tuple[str, int]:
     policy = _load_policy(args.policy)
     est = estimate_growth(model, policy, n=args.n, paths=args.paths,
                           batches=args.batches, x0=args.x0, seed=args.seed)
-    doc = {
-        "point": est.point,
-        "stderr": est.stderr,
-        "n": est.n,
-        "paths": est.paths,
-        "batches": est.batches,
-        "seed": est.seed,
-        "all_paths_dead": est.all_paths_dead,
-    }
-    return jsonio.dumps(doc), 0
+    return jsonio.dumps(asdict(est)), 0
 
 
 def _cmd_gen(args) -> tuple[str, int]:
@@ -330,7 +317,7 @@ def _cmd_gen(args) -> tuple[str, int]:
             [_parse_matrix(p) for p in args.p],
             _parse_indices(args.s0),
         )
-    save_model(model, args.out)
+    _write_out(args.out, lambda path: save_model(model, path))
     doc = {
         "family": args.family,
         "out": args.out,
@@ -351,8 +338,7 @@ def _cmd_eps_sweep(args) -> tuple[str, int]:
             f"{'true' if pt.converged else 'false'},{pt.iterations}"
         )
     text = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_out(args.out, lambda path: Path(path).write_text(text, encoding="utf-8"))
     return text, 0
 
 
@@ -385,9 +371,6 @@ def run(argv=None) -> int:
         if violations:
             payload["violations"] = [list(v) for v in violations]
         text, code = jsonio.dumps({"error": payload}), 2
-    except (ValueError, OSError) as exc:
-        text = jsonio.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        code = 2
     sys.stdout.write(text)
     return code
 

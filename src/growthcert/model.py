@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from . import jsonio
 from .errors import (
@@ -165,9 +164,15 @@ class FeasibilityReport:
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
-    graph = csr_matrix(adj.astype(bool))
-    n_comp, _ = csgraph.connected_components(graph, directed=True, connection="strong")
-    return int(n_comp) == 1
+    """Whether every vertex reaches, and is reached from, vertex 0 along ``adj``."""
+    for graph in (adj, adj.T):
+        seen = frontier = np.arange(len(graph)) == 0
+        while frontier.any():
+            frontier = graph[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
+            return False
+    return True
 
 
 def validate(model: MdpModel) -> FeasibilityReport:

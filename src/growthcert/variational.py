@@ -112,29 +112,23 @@ def relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
 
 
-def _psi0_raw(gain: np.ndarray, joint: np.ndarray) -> float:
-    """Objective on raw arrays; -inf when the measure charges zero-gain steps."""
+def objective_psi0(model: MdpModel, eta: OccupationMeasure) -> float:
+    """Objective whose supremum over feasible measures is log rho; -inf on zero-gain steps."""
+    joint, gain = eta.joint, model.gain
+    if joint.shape != gain.shape:
+        raise NotDistribution(
+            f"measure shape {joint.shape} does not match model shape {gain.shape}"
+        )
     sup = joint > 0
     if np.any(sup & (gain == 0)):
         return float("-inf")
-    etat = joint.sum(axis=2)
-    cond = joint / np.where(etat > 0, etat, 1.0)[:, :, None]
+    etat, _, cond = _conditionals(joint)
     terms = np.where(
         sup,
         cond * (np.log(np.where(sup, cond, 1.0)) - np.log(np.where(gain > 0, gain, 1.0))),
         0.0,
     )
     return -float(np.einsum("xu,xuy->", etat, terms))
-
-
-def objective_psi0(model: MdpModel, eta: OccupationMeasure) -> float:
-    """Single-divergence objective whose supremum over feasible measures is log rho."""
-    joint = eta.joint
-    if joint.shape != model.gain.shape:
-        raise NotDistribution(
-            f"measure shape {joint.shape} does not match model shape {model.gain.shape}"
-        )
-    return _psi0_raw(model.gain, joint)
 
 
 def stationarity_residual(eta: OccupationMeasure) -> tuple[np.ndarray, float]:
@@ -187,7 +181,7 @@ def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
     if not eig.converged:
         raise NotConverged("twisted occupation needs a converged eigensolution")
     model = _solved_model(model, eig)
-    s, a = model.n_states, model.n_actions
+    s = model.n_states
     choices = eig.v_star.choices()
     rows = model.gain[np.arange(s), choices, :]
     P = rows * eig.psi[None, :] / (eig.rho * eig.psi[:, None])
@@ -198,11 +192,9 @@ def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
             f"{np.abs(row_sums - 1.0).max():.3e}; eigensolution is inconsistent "
             "with this model"
         )
-    P = P / row_sums[:, None]
-    pi = _stationary(P)
-    joint = np.zeros((s, a, s))
-    joint[np.arange(s), choices, :] = pi[:, None] * P
-    return OccupationMeasure(joint)
+    eta2 = np.zeros(model.gain.shape)
+    eta2[np.arange(s), choices, :] = P / row_sums[:, None]
+    return _stationary_measure(eig.v_star.phi, eta2)
 
 
 def random_feasible(model: MdpModel, seed: int) -> OccupationMeasure:
@@ -337,7 +329,7 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
         # w's action law, as a soft-max per state so that no row underflows to zero
         phi = np.exp((L - L.max(axis=1, keepdims=True)) / tau)
         eta = _stationary_measure(phi / phi.sum(axis=1, keepdims=True), q)
-        value = _psi0_raw(model.gain, eta.joint)
+        value = objective_psi0(model, eta)
         dual = dual_bound(model, g)
         cert = Certificate(primal_lower=value, dual_upper=dual, gap=dual - value, eta=eta, g=g)
         if cert.gap <= tol * max(1.0, abs(value)):

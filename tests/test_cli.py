@@ -309,8 +309,12 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         on_fib + ["--paths", "20", "--x0", "9"],
         on_fib + ["--paths", "20", "--x0", "-1"],
         on_fib + ["--paths", "40", "--seed", str(2 ** 64)],
+        ["gen", "graph", "--adjacency", "11;10", "--out", str(tmp_path / "missing" / "x.json")],
+        ["gen", "graph", "--adjacency", "11;10", "--out", str(tmp_path)],
+        ["eps-sweep", fib, "--grid", "1e-2", "--out", str(tmp_path / "missing" / "s.csv")],
     ):
         assert run(argv) == 4, argv
+        assert capsys.readouterr().out == "", argv
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(growthcert.__file__)))
     proc = subprocess.run([sys.executable, "-m", "growthcert", "solve", model, "--tol", "nan"],
                           env=env, capture_output=True, text=True)

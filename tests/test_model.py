@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import FIB_ADJACENCY, fib_model, random_positive_model, random_walk_exit_model
@@ -28,6 +31,7 @@ from growthcert.errors import (
     ParseError,
     SchemaError,
 )
+from growthcert.model import _strongly_connected
 
 
 def _singleton(weight: float) -> MdpModel:
@@ -145,6 +149,30 @@ def test_validate_reports_dead_state_and_reducibility():
     report = validate(model)
     assert report.dead_states == (1,)
     assert not report.gain_irreducible
+
+
+def _closure_strongly_connected(adj: np.ndarray) -> bool:
+    """Reference: Warshall's transitive closure (with the empty path) is all true."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for k in range(len(adj)):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    return bool(reach.all())
+
+
+@given(hnp.arrays(np.bool_, st.integers(1, 12).map(lambda n: (n, n))))
+@settings(max_examples=300, deadline=None)
+def test_strongly_connected_matches_transitive_closure(adj):
+    assert _strongly_connected(adj) == _closure_strongly_connected(adj)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_strongly_connected_on_relabelled_long_cycle(closed):
+    order = np.random.default_rng(7).permutation(200)
+    adj = np.zeros((200, 200), dtype=bool)
+    adj[order[:-1], order[1:]] = True
+    adj[order[-1], order[0]] = closed
+    assert _strongly_connected(adj) is closed
+    assert _strongly_connected(adj.T) is closed
 
 
 def test_validate_is_idempotent_and_pure():

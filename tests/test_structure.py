@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,18 @@ def test_routes_do_not_import_each_other(route):
         for part in f"{getattr(node, 'module', None) or ''}.{alias.name}".split(".")
     }
     assert names.isdisjoint(set(ROUTES) - {route})
+
+
+def test_only_numpy_outside_the_standard_library():
+    """The package depends on numpy alone; any other third-party import fails here."""
+    allowed = sys.stdlib_module_names | {"numpy"}
+    foreign = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _imports(ast.parse(path.read_text(encoding="utf-8")))
+        if not getattr(node, "level", 0)
+        for name in ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+        if name.split(".")[0] not in allowed
+    ]
+    assert foreign == []
