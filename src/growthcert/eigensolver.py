@@ -18,7 +18,14 @@ and is accepted once the bracket's relative width drops below the
 tolerance.  ``T`` is solved by a damped power loop on the shifted map
 ``f <- (T f + f) / ||.||``: the shift leaves the eigenvector (and the ratio
 bounds, up to the +1 offset) unchanged while suppressing the period-2
-oscillation that pure power steps exhibit on periodic gain structures.  A
+oscillation that pure power steps exhibit on periodic gain structures.  The
+loop converges at the rate of the spectral gap, so a slowly mixing model
+whose bracket is still open after ``_POWER_STEPS`` damped steps goes on with
+shifted inverse steps on the greedy policy (Noda's iteration for nonnegative
+matrices, with the greedy choice of Howard and Matheson's policy iteration),
+one dense linear solve each.  The damped loop then goes on from their last
+vector with the remaining budget, so the bracket of ``T`` stays the only
+certificate.  A
 fixed policy's linear gain matrix is solved directly: its Perron vector from
 an eigendecomposition is certified by the same bracket, and the power loop
 only finishes the rare matrices whose bracket there is still too wide.
@@ -45,6 +52,7 @@ from .model import MdpModel, Policy, _strongly_connected, epsilon_model, validat
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 _POLICY_BATCH = 4096  # policies per batched Perron solve in enumerate_policy_gains
+_POWER_STEPS = 256  # damped steps in solve_eigen before the shifted inverse steps
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,40 @@ def _certified_iteration(step, f: np.ndarray, tol: float, max_iter: int):
     return f, math.ldexp(rho, k), log_rho, math.ldexp(lo, k), math.ldexp(hi, k), iters, ok
 
 
+def _inverse_steps(gain: np.ndarray, f: np.ndarray, tol: float, budget: int):
+    """Shifted inverse steps on the greedy policy of ``T``, from the positive ``f``.
+
+    Each step takes the greedy gain matrix ``M`` at ``f`` and the upper bound
+    ``sigma = max_x (T f)(x) / f(x) >= rho(M)``, so ``(sigma I - M)^-1 = sum_k
+    M^k / sigma^(k+1)`` is nonnegative and ``f <- (I - M / sigma)^-1 f``,
+    rescaled to sup-norm 1, stays positive also when ``M`` is reducible (Noda,
+    Numer. Math. 17, 1971).  Stops once the bracket of ``T`` at ``f`` closes,
+    after ``budget`` steps, or at the first step that fails: a singular system,
+    a solution that is not finite and positive, or a lower bracket end ``lo``
+    that does not rise.  In exact arithmetic ``lo`` cannot fall, since
+    ``y >= f / (sigma - lo)`` gives ``T y / y >= lo``, while ``sigma`` can rise
+    at a step where the greedy policy switches.  Returns ``(f, steps)``.
+    """
+    s = len(f)
+    rows = np.arange(s)
+    last = -math.inf
+    for steps in range(budget):
+        per_action = gain @ f
+        choices = per_action.argmax(axis=1)
+        ratios = per_action[rows, choices] / f
+        lo, sigma = ratios.min(), ratios.max()
+        if (lo > 0 and sigma - lo <= tol * lo) or not (sigma > 0 and lo > last):
+            return f, steps
+        try:
+            y = np.linalg.solve(np.eye(s) - gain[rows, choices] / sigma, f)
+        except np.linalg.LinAlgError:
+            return f, steps
+        if not (np.isfinite(y).all() and (y > 0).all()):
+            return f, steps
+        f, last = y / y.max(), lo
+    return f, budget
+
+
 def _solve_direct(model: MdpModel, tol: float, max_iter: int,
                   epsilon: float = 0.0) -> EigenSolution:
     gain = model.gain
@@ -153,8 +195,14 @@ def _solve_direct(model: MdpModel, tol: float, max_iter: int,
         return (gain @ f).max(axis=1)
 
     f, rho, log_rho, lo, hi, iters, ok = _certified_iteration(
-        step, np.ones(model.n_states), tol, max_iter
+        step, np.ones(model.n_states), tol, min(max_iter, _POWER_STEPS)
     )
+    if not ok and iters < max_iter:  # slow mixing: the bracket of T stays the certificate
+        f, inverse = _inverse_steps(gain, f, tol, max_iter - iters - 1)
+        f, rho, log_rho, lo, hi, more, ok = _certified_iteration(
+            step, f, tol, max_iter - iters - inverse
+        )
+        iters += inverse + more
     _, policy = apply_T(model, f)
     sol = EigenSolution(
         rho=rho,
@@ -198,6 +246,12 @@ def solve_eigen(
     the ratio bracket cannot close on a reducible gain structure.  A
     non-finite or non-positive ``tol`` or a ``max_iter`` below 1 is a
     ``ValueError``.
+
+    The damped loop runs at most ``_POWER_STEPS`` (256) steps; a bracket
+    still open then goes to shifted inverse steps on the greedy policy, and
+    the damped loop resumes from their last vector to check or finish it.
+    ``iterations`` counts damped steps plus inverse steps, and ``max_iter``
+    caps their sum.
     """
     report = validate(model)
     if not (tol > 0 and math.isfinite(tol)):

@@ -336,6 +336,19 @@ def test_reducible_model_without_fallback_exits_2(capsys, tmp_path):
     assert doc["regularized"] is True
 
 
+def test_variational_on_nonpositive_model_points_to_solve_fallback(capsys, tmp_path):
+    path = _write_fib(capsys, tmp_path)
+    code, doc = _invoke_json(capsys, "variational", path)
+    assert code == 2
+    assert doc["error"]["type"] == "ZeroGainRow"
+    message = doc["error"]["message"]
+    assert "solve" in message and "--eps-fallback" in message
+    assert "epsilon_model" not in message  # a library name the command line cannot use
+    code, doc = _invoke_json(capsys, "solve", path, "--eps-fallback", "1e-8")
+    assert code == 0
+    assert doc["regularized"] is True and doc["certificate"]["gap"] <= 1e-8
+
+
 def test_solve_then_mc_smoke_agreement(capsys, tmp_path):
     model = mild_model(6)
     path = str(tmp_path / "model.json")

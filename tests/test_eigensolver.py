@@ -29,6 +29,7 @@ from growthcert import (
     gen_graph_model,
     solve_eigen,
 )
+from growthcert.eigensolver import _POWER_STEPS, _inverse_steps
 from growthcert.errors import (
     NoConvergence,
     NonpositiveF,
@@ -252,6 +253,134 @@ def test_solve_is_scale_invariant(scale):
     assert_allclose(sol.log_rho - math.log(scale), solve_eigen(base).log_rho,
                     rtol=0, atol=1e-9)
     assert certificate_from_eigen(model, sol).gap <= 1e-8
+
+
+def _relabelled_cycle_model(length: int, seed: int = 0) -> MdpModel:
+    """The ``length``-cycle with one self-loop, vertices relabelled at random."""
+    adj = np.zeros((length, length), dtype=int)
+    adj[np.arange(length), (np.arange(length) + 1) % length] = 1
+    adj[0, 0] = 1
+    perm = np.random.default_rng(seed).permutation(length)
+    return gen_graph_model([adj[np.ix_(perm, perm)]])
+
+
+def _cycle_root(length: int) -> float:
+    """Largest root of ``x**L = x**(L-1) + 1``, the growth of the cycle with a self-loop."""
+    lo, hi = 1.0, 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid ** (length - 1) * (mid - 1.0) > 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _stepping_cycle_model(seed: int) -> MdpModel:
+    """A relabelled L-cycle, L in 50..300, whose 2..4 actions step by 1..3 states.
+
+    Action 0 steps by one, so the gain graph holds the whole cycle.  The
+    weights ``exp U(-0.01, 0.01)`` are nearly flat, so the damped loop mixes
+    slowly.  The kernel is deterministic: one successor per (state, action).
+    """
+    rng = np.random.default_rng(seed)
+    length, a = int(rng.integers(50, 301)), int(rng.integers(2, 5))
+    steps = np.concatenate([[1], rng.integers(1, 4, a - 1)])
+    perm = rng.permutation(length)
+    kernel = np.zeros((length, a, length))
+    for u, step in enumerate(steps):
+        kernel[perm, u, perm[(np.arange(length) + step) % length]] = 1.0
+    return MdpModel(states=[f"x{i}" for i in range(length)],
+                    actions=[f"u{u}" for u in range(a)], kernel=kernel,
+                    weights=np.exp(rng.uniform(-0.01, 0.01, (length, a, length))))
+
+
+def _max_cycle_mean(model: MdpModel) -> float:
+    """Optimal log growth of a strongly connected model with a deterministic kernel.
+
+    With one successor per (state, action), ``T`` is a max-times operator
+    whose eigenvalue is the largest geometric mean of the gains around a
+    cycle.  Karp's theorem gives its log as ``max_v min_k (D_n(v) - D_k(v)) /
+    (n - k)``, where ``D_k(v)`` is the largest log-gain of a k-step walk from
+    state 0 to ``v``.
+    """
+    edges = np.nonzero(model.gain)
+    xs, ys, log_gain = edges[0], edges[2], np.log(model.gain[edges])
+    n = model.n_states
+    walks = np.full((n + 1, n), -np.inf)
+    walks[0, 0] = 0.0
+    for k in range(1, n + 1):
+        np.maximum.at(walks[k], ys, walks[k - 1, xs] + log_gain)
+    with np.errstate(invalid="ignore"):
+        means = (walks[n] - walks[:n]) / (n - np.arange(n))[:, None]
+    means[np.isneginf(walks[:n])] = np.inf
+    return float(means.min(axis=0)[np.isfinite(walks[n])].max())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_solve_relabelled_200_cycle_with_inverse_steps(scale):
+    # the damped loop alone needs 15,715 steps here; shifted inverse steps on
+    # the greedy policy close the bracket a few steps after the damped phase
+    base = _relabelled_cycle_model(200)
+    model = MdpModel(states=base.states, actions=base.actions, kernel=base.kernel,
+                     weights=base.weights * scale)
+    sol = solve_eigen(model)
+    assert sol.converged and _POWER_STEPS < sol.iterations <= _POWER_STEPS + 50
+    assert (sol.psi > 0).all() and sol.cw_lower <= sol.rho <= sol.cw_upper
+    root = _cycle_root(200)
+    if scale == 1.0:
+        assert abs(sol.log_rho - math.log(root)) <= 1e-12
+    else:
+        assert abs(sol.log_rho - math.log(scale) - math.log(root)) <= 1e-10
+    assert certificate_from_eigen(model, sol).gap <= 1e-8
+
+
+@pytest.mark.parametrize("spare", [1, 3, 6])
+def test_solve_budget_spent_in_inverse_steps_raises_with_partial_solution(spare):
+    # the damped phase ends at _POWER_STEPS; the last step of the budget
+    # always goes to the bracket check at the final vector
+    max_iter = _POWER_STEPS + spare
+    with pytest.raises(NoConvergence) as exc_info:
+        solve_eigen(_relabelled_cycle_model(200), max_iter=max_iter)
+    err = exc_info.value
+    assert err.iterations == max_iter
+    lo, hi = err.bracket
+    assert lo <= _cycle_root(200) <= hi
+    partial = err.solution
+    assert partial is not None and not partial.converged
+    assert partial.iterations == max_iter and (partial.cw_lower, partial.cw_upper) == (lo, hi)
+    assert (partial.psi > 0).all() and np.isfinite(partial.psi).all()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_solve_slow_mixing_multi_action_cycles(seed):
+    model = _stepping_cycle_model(seed)
+    sol = solve_eigen(model)
+    assert sol.converged and sol.iterations <= _POWER_STEPS + 50
+    log_rho = _max_cycle_mean(model)
+    assert sol.cw_lower * (1 - 1e-12) <= math.exp(log_rho) <= sol.cw_upper * (1 + 1e-12)
+    assert abs(sol.log_rho - log_rho) <= 1e-10
+
+
+def test_inverse_steps_never_lower_the_bracket():
+    # the lower end of the bracket of T cannot fall at a shifted inverse step,
+    # while its upper end sigma can rise when the greedy policy switches, so
+    # _inverse_steps stops on the lower end
+    model = _stepping_cycle_model(0)
+    f = np.ones(model.n_states)
+    lo, hi = cw_bounds(model, f)
+    uppers = [hi]
+    for _ in range(30):
+        f, taken = _inverse_steps(model.gain, f, 1e-10, 1)
+        if not taken:
+            break
+        assert (f > 0).all() and f.max() == 1.0
+        new_lo, hi = cw_bounds(model, f)
+        assert new_lo >= lo
+        lo = new_lo
+        uppers.append(hi)
+    assert (hi - lo) <= 1e-10 * lo
+    assert any(b > a for a, b in zip(uppers, uppers[1:]))
 
 
 def test_solution_satisfies_eigen_identity():
