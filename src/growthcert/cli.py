@@ -3,7 +3,7 @@
 Single-document contract: every invocation writes exactly one JSON document
 (CSV for ``eps-sweep``) to standard output; diagnostics go to standard
 error.  Exit codes: 0 success, 2 validation failure, 3 solver
-non-convergence (a report is still emitted), 4 usage error.
+non-convergence (a partial report or an error document), 4 usage error.
 """
 
 from __future__ import annotations
@@ -376,7 +376,8 @@ def run(argv=None) -> int:
         violations = getattr(exc, "violations", None)
         if violations:
             payload["violations"] = [list(v) for v in violations]
-        text, code = jsonio.dumps({"error": payload}), 2
+        code = 3 if isinstance(exc, NoConvergence) else 2
+        text = jsonio.dumps({"error": payload})
     sys.stdout.write(text)
     return code
 

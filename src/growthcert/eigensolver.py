@@ -15,21 +15,16 @@ any strictly positive f,
     min_x (T f)(x) / f(x)  <=  rho  <=  max_x (T f)(x) / f(x),
 
 and is accepted once the bracket's relative width drops below the
-tolerance.  ``T`` is solved by a damped power loop on the shifted map
-``f <- (T f + f) / ||.||``: the shift leaves the eigenvector (and the ratio
-bounds, up to the +1 offset) unchanged while suppressing the period-2
-oscillation that pure power steps exhibit on periodic gain structures.  The
-loop converges at the rate of the spectral gap, so a slowly mixing model
-whose bracket is still open after ``_POWER_STEPS`` damped steps goes on with
-shifted inverse steps on the greedy policy (Noda's iteration for nonnegative
-matrices, with the greedy choice of Howard and Matheson's policy iteration),
-one dense linear solve each.  The damped loop then goes on from their last
-vector with the remaining budget, so the bracket of ``T`` stays the only
-certificate.  A
-fixed policy's linear gain matrix is solved directly: its Perron vector from
-an eigendecomposition is certified by the same bracket, and the power loop
-only finishes the rare matrices whose bracket there is still too wide.
-:func:`epsilon_sweep` solves the epsilon-smoothed companions
+tolerance.  One loop (:func:`_certified_iteration`) closes it: damped power
+steps ``f <- (T f + f) / ||.||``, whose shift keeps the eigenvector while
+suppressing the period-2 oscillation of pure power steps on periodic gain
+structures, and, once ``_POWER_STEPS`` of them leave a slowly mixing bracket
+open, shifted inverse steps on the greedy policy (Noda's iteration, with the
+greedy choice of Howard and Matheson's policy iteration), one dense linear
+solve each.  A fixed policy's linear gain matrix is solved directly: its
+Perron vector from an eigendecomposition is certified by the same bracket,
+and the loop only finishes the rare matrices whose bracket there is still
+too wide.  :func:`epsilon_sweep` solves the epsilon-smoothed companions
 (:func:`model.epsilon_model`) along a decreasing grid.
 """
 
@@ -41,18 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoConvergence,
-    NonpositiveF,
-    ReducibleGain,
-    TooManyPolicies,
-)
+from .errors import NoConvergence, NonpositiveF, ReducibleGain, TooManyPolicies
 from .model import MdpModel, Policy, _strongly_connected, epsilon_model, validate
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 _POLICY_BATCH = 4096  # policies per batched Perron solve in enumerate_policy_gains
-_POWER_STEPS = 256  # damped steps in solve_eigen before the shifted inverse steps
+_POWER_STEPS = 256  # damped steps before the shifted inverse steps
 
 
 @dataclass(frozen=True)
@@ -118,112 +108,79 @@ def cw_bounds(model: MdpModel, f: np.ndarray) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
-def _certified_iteration(step, f: np.ndarray, tol: float, max_iter: int):
-    """The damped power loop, started at the positive vector ``f``.
+def _inverse_step(gain: np.ndarray, f: np.ndarray, choices: np.ndarray, sigma: float):
+    """One shifted inverse step ``y = (I - M / sigma)^-1 f`` from the positive ``f``.
 
-    ``step(f)`` returns ``T f``.  The shift ``+ f`` suits ``rho`` near 1, so
-    unless the bracket at ``f`` overlaps [1/2, 2] the loop runs on the exact
-    rescaling ``2**-k T`` with ``k`` taken from that bracket.  Returns ``(f,
-    rho, log_rho, lower, upper, iters, converged)``, the Collatz-Wielandt
-    bracket at the returned ``f`` mapped back to the scale of ``T``.
-    """
-    tf = step(f)
-    ratios = tf / f
-    lo, hi = float(ratios.min()), float(ratios.max())
-    k = 0
-    if 0 < hi < math.inf and not (lo <= 2 and hi >= 0.5):
-        k = round(math.log2(hi) if lo <= 0 else (math.log2(lo) + math.log2(hi)) / 2)
-        unscaled = step
-        tf = np.ldexp(tf, -k)
-
-        def step(g):
-            return np.ldexp(unscaled(g), -k)
-
-    for iters in range(1, max_iter + 1):
-        ratios = tf / f
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        if ok := lo > 0 and hi - lo <= tol * lo:
-            break
-        g = tf + f
-        f = g / g.max()
-        tf = step(f)
-    rho = float(np.sqrt(lo * hi)) if lo > 0 else 0.0
-    log_rho = float(np.log(rho)) + k * math.log(2) if rho > 0 else float("-inf")
-    return f, math.ldexp(rho, k), log_rho, math.ldexp(lo, k), math.ldexp(hi, k), iters, ok
-
-
-def _inverse_steps(gain: np.ndarray, f: np.ndarray, tol: float, budget: int):
-    """Shifted inverse steps on the greedy policy of ``T``, from the positive ``f``.
-
-    Each step takes the greedy gain matrix ``M`` at ``f`` and the upper bound
-    ``sigma = max_x (T f)(x) / f(x) >= rho(M)``, so ``(sigma I - M)^-1 = sum_k
-    M^k / sigma^(k+1)`` is nonnegative and ``f <- (I - M / sigma)^-1 f``,
-    rescaled to sup-norm 1, stays positive also when ``M`` is reducible (Noda,
-    Numer. Math. 17, 1971).  Stops once the bracket of ``T`` at ``f`` closes,
-    after ``budget`` steps, or at the first step that fails: a singular system,
-    a solution that is not finite and positive, or a lower bracket end ``lo``
-    that does not rise.  In exact arithmetic ``lo`` cannot fall, since
-    ``y >= f / (sigma - lo)`` gives ``T y / y >= lo``, while ``sigma`` can rise
-    at a step where the greedy policy switches.  Returns ``(f, steps)``.
+    ``M`` is the gain matrix of ``choices``.  For ``sigma >= rho(M)``, ``(sigma I
+    - M)^-1 = sum_k M^k / sigma^(k+1)`` is nonnegative, so ``y`` stays positive
+    also when ``M`` is reducible (Noda, Numer. Math. 17, 1971).  For the greedy
+    ``choices`` and ``sigma = max_x (T f)(x) / f(x)``, ``y >= f / (sigma - lo)``
+    gives ``T y / y >= lo``: the lower bracket end cannot fall, while ``sigma``
+    can rise where the greedy policy switches.  Returns ``y`` at sup-norm 1, or
+    ``None`` for a singular system or a ``y`` that is not finite and positive.
     """
     s = len(f)
-    rows = np.arange(s)
-    last = -math.inf
-    for steps in range(budget):
+    try:
+        y = np.linalg.solve(np.eye(s) - gain[np.arange(s), choices] / sigma, f)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(y).all() and (y > 0).all()):
+        return None
+    return y / y.max()
+
+
+def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: int,
+                         epsilon: float = 0.0) -> EigenSolution:
+    """The certified loop on ``(T f)(x) = max_u gain[x, u, :] @ f``, from the positive ``f``.
+
+    Each iteration applies ``T`` once and checks the bracket at ``f``.  It
+    stops when the bracket closes, after ``max_iter`` iterations, or before a
+    damped step that would underflow an entry of ``f`` to 0, so ``psi`` is
+    always the vector its bracket belongs to.  Damped steps run on ``2**-k T``,
+    with ``k`` taken from the bracket unless it overlaps [1/2, 2], since the
+    shift ``+ f`` suits ``rho`` near 1.  After ``_POWER_STEPS`` iterations come
+    shifted inverse steps on the greedy policy, with ``k`` re-taken at each
+    check, until one fails or does not raise the lower end; then damped steps.
+    """
+    k, last = 0, -math.inf  # last: lo at the last inverse step, None once they stop
+    floor = 0.0  # a lower bound on min(f), 0 when unknown: f.min() is taken only then
+    for iters in range(1, max_iter + 1):
         per_action = gain @ f
-        choices = per_action.argmax(axis=1)
-        ratios = per_action[rows, choices] / f
-        lo, sigma = ratios.min(), ratios.max()
-        if (lo > 0 and sigma - lo <= tol * lo) or not (sigma > 0 and lo > last):
-            return f, steps
-        try:
-            y = np.linalg.solve(np.eye(s) - gain[rows, choices] / sigma, f)
-        except np.linalg.LinAlgError:
-            return f, steps
-        if not (np.isfinite(y).all() and (y > 0).all()):
-            return f, steps
-        f, last = y / y.max(), lo
-    return f, budget
-
-
-def _solve_direct(model: MdpModel, tol: float, max_iter: int,
-                  epsilon: float = 0.0) -> EigenSolution:
-    gain = model.gain
-
-    def step(f):
-        return (gain @ f).max(axis=1)
-
-    f, rho, log_rho, lo, hi, iters, ok = _certified_iteration(
-        step, np.ones(model.n_states), tol, min(max_iter, _POWER_STEPS)
-    )
-    if not ok and iters < max_iter:  # slow mixing: the bracket of T stays the certificate
-        f, inverse = _inverse_steps(gain, f, tol, max_iter - iters - 1)
-        f, rho, log_rho, lo, hi, more, ok = _certified_iteration(
-            step, f, tol, max_iter - iters - inverse
-        )
-        iters += inverse + more
-    _, policy = apply_T(model, f)
-    sol = EigenSolution(
-        rho=rho,
-        log_rho=log_rho,
-        psi=f,
-        v_star=policy,
-        cw_lower=lo,
-        cw_upper=hi,
-        iterations=iters,
-        converged=ok,
-        epsilon=epsilon,
-    )
-    if not ok:
-        raise NoConvergence(
-            f"eigen iteration did not reach tolerance {tol:g} within {max_iter} "
-            f"iterations (bracket [{lo:g}, {hi:g}])",
-            iterations=iters,
-            bracket=(lo, hi),
-            solution=sol,
-        )
-    return sol
+        tf = per_action.max(axis=1)
+        inverse = iters > _POWER_STEPS and last is not None
+        if iters == 1 or inverse:  # the scale from the unscaled bracket
+            ratios = tf / f
+            lo, sigma = float(ratios.min()), float(ratios.max())
+            k = 0
+            if 0 < sigma < math.inf and not (lo <= 2 and sigma >= 0.5):
+                k = round(math.log2(sigma) if lo <= 0 else (math.log2(lo) + math.log2(sigma)) / 2)
+        if k:
+            tf = np.ldexp(tf, -k)
+        ratios = tf / f
+        lo_k, hi_k = float(ratios.min()), float(ratios.max())
+        if (ok := lo_k > 0 and hi_k - lo_k <= tol * lo_k) or iters == max_iter:
+            break
+        if inverse:
+            y = None
+            if sigma > 0 and lo > last:
+                y = _inverse_step(gain, f, per_action.argmax(axis=1), sigma)
+            if y is not None:
+                f, last, floor = y, lo, 0.0
+                continue
+            last = None
+        g = tf + f
+        top = g.max()
+        g /= top
+        floor /= top  # T f + f >= f entrywise
+        if not floor > 0 and not (floor := g.min()) > 0:
+            break  # an entry underflowed to 0
+        f = g
+    rho = float(np.sqrt(lo_k * hi_k)) if lo_k > 0 else 0.0
+    log_rho = float(np.log(rho)) + k * math.log(2) if rho > 0 else -math.inf
+    policy = Policy.deterministic(per_action.argmax(axis=1), gain.shape[1])
+    return EigenSolution(rho=math.ldexp(rho, k), log_rho=log_rho, psi=f, v_star=policy,
+                         cw_lower=math.ldexp(lo_k, k), cw_upper=math.ldexp(hi_k, k),
+                         iterations=iters, converged=ok, epsilon=epsilon)
 
 
 def solve_eigen(
@@ -247,11 +204,10 @@ def solve_eigen(
     non-finite or non-positive ``tol`` or a ``max_iter`` below 1 is a
     ``ValueError``.
 
-    The damped loop runs at most ``_POWER_STEPS`` (256) steps; a bracket
-    still open then goes to shifted inverse steps on the greedy policy, and
-    the damped loop resumes from their last vector to check or finish it.
-    ``iterations`` counts damped steps plus inverse steps, and ``max_iter``
-    caps their sum.
+    The loop starts at the all-ones vector; ``iterations`` counts its bracket
+    checks, at most ``max_iter``.  A bracket still open then, or a damped step
+    that would underflow an entry of ``psi`` to 0, raises
+    :class:`NoConvergence` carrying the last positive ``psi`` and its bracket.
     """
     report = validate(model)
     if not (tol > 0 and math.isfinite(tol)):
@@ -260,16 +216,25 @@ def solve_eigen(
         raise ValueError("max_iter must be >= 1")
     if eps_fallback is not None and not (eps_fallback > 0):
         raise ValueError("eps_fallback must be > 0 when given")
+    epsilon = 0.0
     if not (report.a0_plus and report.a1_plus):
         if eps_fallback is not None:
-            eps = float(eps_fallback)
-            return _solve_direct(epsilon_model(model, eps), tol, max_iter, eps)
-        if not report.gain_irreducible or report.dead_states:
+            epsilon = float(eps_fallback)
+            model = epsilon_model(model, epsilon)
+        elif not report.gain_irreducible or report.dead_states:
             raise ReducibleGain(
                 "gain graph is not strongly connected; pass eps_fallback to solve "
                 "the smoothed companion model instead"
             )
-    return _solve_direct(model, tol, max_iter)
+    sol = _certified_iteration(model.gain, np.ones(model.n_states), tol, max_iter, epsilon)
+    if not sol.converged:
+        lo, hi = sol.cw_lower, sol.cw_upper
+        why = (f"within {max_iter} iterations" if sol.iterations == max_iter else
+               f"after {sol.iterations} iterations: the next step underflows an entry of psi to 0")
+        raise NoConvergence(f"eigen iteration did not reach tolerance {tol:g} {why} "
+                            f"(bracket [{lo:g}, {hi:g}])",
+                            iterations=sol.iterations, bracket=(lo, hi), solution=sol)
+    return sol
 
 
 def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
@@ -294,9 +259,8 @@ def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
         gains = 0.5 * (np.log(lo) + np.log(hi))
     done = (lo > 0) & (hi - lo <= tol * lo)
     for p in np.flatnonzero(~done):
-        _, _, gains[p], _, _, _, done[p] = _certified_iteration(
-            lambda g, m=mats[p]: m @ g, f[p], tol, max_iter
-        )
+        sol = _certified_iteration(mats[p][:, None, :], f[p], tol, max_iter)
+        gains[p], done[p] = sol.log_rho, sol.converged
     return gains, done
 
 
@@ -385,7 +349,7 @@ def epsilon_sweep(model: MdpModel, grid) -> list[SweepPoint]:
     Grid points where the solver fails are marked rather than aborting the
     sweep.  The successful points are checked to be non-increasing as
     epsilon decreases (within 1e-9 slack), which is a structural property of
-    the smoothing.
+    the smoothing; a rise raises :class:`NoConvergence`.
     """
     grid = [float(e) for e in grid]
     if not grid or any(e <= 0 for e in grid):
@@ -403,7 +367,7 @@ def epsilon_sweep(model: MdpModel, grid) -> list[SweepPoint]:
     good = [p for p in points if p.converged and p.lambda_eps is not None]
     for a, b in zip(good, good[1:]):
         if b.lambda_eps > a.lambda_eps + 1e-9:
-            raise RuntimeError(
+            raise NoConvergence(
                 f"smoothed rate increased from eps={a.epsilon:g} to eps={b.epsilon:g}; "
                 "solver tolerances are inconsistent"
             )

@@ -286,8 +286,9 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
     Returns the :class:`Certificate` (``primal_lower`` is the value);
     raises :class:`NoConvergence` carrying the last certificate when
     ``iters`` Newton steps (each Newton system solved counts one) run out
-    first.  A non-finite or non-positive ``tol``, or ``iters`` below 1, is a
-    ``ValueError``.
+    first, or when a Newton system is singular in floating point and the
+    certificate closed at that ``g`` is still too wide.  A non-finite or
+    non-positive ``tol``, or ``iters`` below 1, is a ``ValueError``.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tol must be finite and > 0")
@@ -302,7 +303,7 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
     log_gain = np.log(model.gain)
     s = model.n_states
     g = np.zeros(s)
-    tau, used = 1.0, 0
+    tau, used, singular = 1.0, 0, False
     while True:
         f, L, w, q = _smoothed_dual(log_gain, g, tau)
         flow = np.einsum("xu,xuy->xy", w, q)
@@ -315,7 +316,10 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
                 + np.diag(into + out / tau)
                 - (flow + flow.T + np.outer(grad, grad)) / tau)
         step = np.zeros(s)  # F_tau is flat along the ones vector: pin g[0]
-        step[1:] = np.linalg.solve(hess[1:, 1:], -grad[1:])
+        try:
+            step[1:] = np.linalg.solve(hess[1:, 1:], -grad[1:])
+        except np.linalg.LinAlgError:  # singular in floating point: close at this g
+            singular = True
         decrement = -grad @ step
         used += 1
         if decrement > 0.01 * tol and used < iters:
@@ -334,11 +338,11 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
         cert = Certificate(primal_lower=value, dual_upper=dual, gap=dual - value, eta=eta, g=g)
         if cert.gap <= tol * max(1.0, abs(value)):
             return cert
-        if used >= iters:
+        if used >= iters or singular:
+            why = "at a singular Newton system" if singular else f"within {iters} iterations"
             raise NoConvergence(
-                f"smoothed-dual Newton did not close the gap to tol {tol:g} "
-                f"within {iters} iterations",
-                iterations=iters,
+                f"smoothed-dual Newton did not close the gap to tol {tol:g} {why}",
+                iterations=used,
                 certificate=cert,
             )
         tau /= 10.0

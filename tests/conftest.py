@@ -55,6 +55,30 @@ def mild_model(seed: int) -> MdpModel:
     )
 
 
+def fuzz_model(seed: int, family: str) -> MdpModel:
+    """A draw of the fuzz families: 2..6 states, 1..3 actions.
+
+    The kernel is gamma(1) + 0.01, row-normalized.  ``"wide"`` draws weights
+    ``exp U(-600, 600)``; ``"near-decomposable"`` scales the kernel mass
+    between the states below ``s // 2`` and the rest by 1e-13 and draws
+    weights ``exp U(-1, 1)``.
+    """
+    rng = np.random.default_rng(seed)
+    s, a = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    kernel = rng.gamma(1.0, size=(s, a, s)) + 0.01
+    if family == "near-decomposable":
+        block = np.arange(s) < s // 2
+        kernel *= np.where(block[:, None, None] == block[None, None, :], 1.0, 1e-13)
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    spread = {"wide": 600.0, "near-decomposable": 1.0}[family]
+    return MdpModel(
+        states=[f"s{i}" for i in range(s)],
+        actions=[f"a{u}" for u in range(a)],
+        kernel=kernel,
+        weights=np.exp(rng.uniform(-spread, spread, size=(s, a, s))),
+    )
+
+
 def fib_model() -> MdpModel:
     return gen_graph_model([FIB_ADJACENCY])
 

@@ -8,13 +8,14 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import growthcert
-from conftest import mild_model, random_positive_model
-from growthcert import Policy, estimate_growth, load_model, save_model, solve_eigen
+from conftest import fuzz_model, mild_model, random_positive_model
+from growthcert import Policy, eigensolver, estimate_growth, load_model, save_model, solve_eigen
 from growthcert.cli import run
 
 
@@ -267,6 +268,35 @@ def test_solver_budget_exhausted_exits_3_with_report(capsys, tmp_path):
     assert doc["error"]["type"] == "NoConvergence"
     assert doc["certificate"] is None
     assert doc["cw_lower"] <= doc["rho"] <= doc["cw_upper"]
+
+
+@pytest.mark.parametrize("command, family, seed", [("solve", "wide", 30),
+                                                   ("variational", "near-decomposable", 1007)])
+def test_fuzz_draw_exits_3_with_one_document_and_no_stderr(capsys, tmp_path, command, family,
+                                                            seed):
+    # solve: a damped step would underflow an entry of psi to 0;
+    # variational: the Newton system is singular in floating point
+    path = str(tmp_path / "model.json")
+    save_model(fuzz_model(seed, family), path)
+    code = run([command, path])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 3 and captured.err == ""
+    assert doc["error"]["type"] == "NoConvergence"
+    if command == "solve":
+        assert doc["converged"] is False and doc["iterations"] == 2
+        assert "underflows an entry of psi" in doc["error"]["message"]
+
+
+def test_eps_sweep_rising_rates_exit_3_with_an_error_document(capsys, tmp_path, monkeypatch):
+    path = _write_fib(capsys, tmp_path)
+    rates = iter([0.0, 1.0])
+    monkeypatch.setattr(eigensolver, "solve_eigen",
+                        lambda model: SimpleNamespace(log_rho=next(rates), iterations=1))
+    out = tmp_path / "sweep.csv"
+    code, doc = _invoke_json(capsys, "eps-sweep", path, "--grid", "1e-2,1e-4", "--out", str(out))
+    assert code == 3 and doc["error"]["type"] == "NoConvergence"
+    assert "increased" in doc["error"]["message"] and not out.exists()
 
 
 def test_usage_errors_exit_4(capsys, tmp_path):

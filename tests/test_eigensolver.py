@@ -12,6 +12,7 @@ from conftest import (
     FIB_ADJACENCY,
     count_paths,
     fib_model,
+    fuzz_model,
     path_count_growth,
     random_positive_model,
     random_walk_exit_model,
@@ -29,7 +30,7 @@ from growthcert import (
     gen_graph_model,
     solve_eigen,
 )
-from growthcert.eigensolver import _POWER_STEPS, _inverse_steps
+from growthcert.eigensolver import _POWER_STEPS, _inverse_step
 from growthcert.errors import (
     NoConvergence,
     NonpositiveF,
@@ -216,6 +217,22 @@ def test_solve_no_convergence_carries_partial_solution():
     partial = err.solution
     assert partial is not None and not partial.converged
     assert partial.cw_lower <= path_count_growth(FIB_ADJACENCY) <= partial.cw_upper
+    assert cw_bounds(fib_model(), partial.psi) == err.bracket
+
+
+def test_solve_stops_at_an_underflowed_psi_entry():
+    # weights exp U(-600, 600): the second damped step would underflow an
+    # entry of psi to 0, so the solve stops at the last positive vector
+    model = fuzz_model(30, "wide")
+    assert (model.n_states, model.n_actions) == (2, 1)
+    with pytest.raises(NoConvergence, match="underflows an entry of psi") as exc_info:
+        solve_eigen(model)
+    err = exc_info.value
+    assert err.iterations == 2 and "within" not in str(err)
+    partial = err.solution
+    assert partial.iterations == 2 and not partial.converged
+    assert (partial.psi > 0).all() and np.isfinite(partial.psi).all()
+    assert cw_bounds(model, partial.psi) == err.bracket == (partial.cw_lower, partial.cw_upper)
 
 
 def test_solve_rejects_nonpositive_fallback():
@@ -350,6 +367,7 @@ def test_solve_budget_spent_in_inverse_steps_raises_with_partial_solution(spare)
     assert partial is not None and not partial.converged
     assert partial.iterations == max_iter and (partial.cw_lower, partial.cw_upper) == (lo, hi)
     assert (partial.psi > 0).all() and np.isfinite(partial.psi).all()
+    assert cw_bounds(_relabelled_cycle_model(200), partial.psi) == err.bracket
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -365,16 +383,16 @@ def test_solve_slow_mixing_multi_action_cycles(seed):
 def test_inverse_steps_never_lower_the_bracket():
     # the lower end of the bracket of T cannot fall at a shifted inverse step,
     # while its upper end sigma can rise when the greedy policy switches, so
-    # _inverse_steps stops on the lower end
+    # the solver stops its inverse steps on the lower end
     model = _stepping_cycle_model(0)
     f = np.ones(model.n_states)
     lo, hi = cw_bounds(model, f)
     uppers = [hi]
     for _ in range(30):
-        f, taken = _inverse_steps(model.gain, f, 1e-10, 1)
-        if not taken:
+        if hi - lo <= 1e-10 * lo:
             break
-        assert (f > 0).all() and f.max() == 1.0
+        f = _inverse_step(model.gain, f, apply_T(model, f)[1].choices(), hi)
+        assert f is not None and (f > 0).all() and f.max() == 1.0
         new_lo, hi = cw_bounds(model, f)
         assert new_lo >= lo
         lo = new_lo

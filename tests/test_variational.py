@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import fib_model, random_positive_model
+from conftest import fib_model, fuzz_model, random_positive_model
 from growthcert import (
     Certificate,
     MdpModel,
     OccupationMeasure,
     certificate_from_eigen,
     dual_bound,
+    eigensolver,
     epsilon_model,
     epsilon_sweep,
     maximize,
@@ -438,6 +440,26 @@ def test_sweep_single_state_closed_form():
     points = epsilon_sweep(model, [0.1, 0.01])
     for pt in points:
         assert_allclose(pt.lambda_eps, math.log(w + pt.epsilon), rtol=0, atol=1e-10)
+
+
+def test_sweep_rising_rates_raise_no_convergence(monkeypatch):
+    rates = iter([0.0, 1.0])
+    monkeypatch.setattr(eigensolver, "solve_eigen",
+                        lambda model: SimpleNamespace(log_rho=next(rates), iterations=1))
+    with pytest.raises(NoConvergence, match="increased from eps=0.1 to eps=0.01"):
+        epsilon_sweep(_singleton(1.0), [0.1, 0.01])
+
+
+def test_maximize_types_a_singular_newton_system():
+    # kernel mass of 1e-13 between the two states makes the Newton system
+    # singular in floating point; the certificate closed there is typed
+    model = fuzz_model(1007, "near-decomposable")
+    assert (model.n_states, model.n_actions) == (2, 1)
+    with pytest.raises(NoConvergence, match="singular Newton system") as exc_info:
+        maximize(model)
+    cert = exc_info.value.certificate
+    assert cert.gap > 1e-6
+    assert cert.primal_lower <= solve_eigen(model).log_rho <= cert.dual_upper
 
 
 def test_sweep_grid_must_decrease():
