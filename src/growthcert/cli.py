@@ -173,9 +173,7 @@ def _load_policy(path) -> Policy:
     doc = jsonio.load(path, "policy file")
     if not isinstance(doc, dict) or "phi" not in doc:
         raise SchemaError(f"{path}: policy file must be an object with field 'phi'")
-    phi = _float_array(doc["phi"], path, "'phi'")
-    kind = "deterministic" if np.all(np.isin(phi, (0.0, 1.0))) else "randomized"
-    return Policy(phi, kind=kind)
+    return Policy(_float_array(doc["phi"], path, "'phi'"))
 
 
 def _policy_doc(policy: Policy) -> dict:

@@ -143,7 +143,6 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
     check, until one fails or does not raise the lower end; then damped steps.
     """
     k, last = 0, -math.inf  # last: lo at the last inverse step, None once they stop
-    floor = 0.0  # a lower bound on min(f), 0 when unknown: f.min() is taken only then
     for iters in range(1, max_iter + 1):
         per_action = gain @ f
         tf = per_action.max(axis=1)
@@ -165,14 +164,12 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
             if sigma > 0 and lo > last:
                 y = _inverse_step(gain, f, per_action.argmax(axis=1), sigma)
             if y is not None:
-                f, last, floor = y, lo, 0.0
+                f, last = y, lo
                 continue
             last = None
         g = tf + f
-        top = g.max()
-        g /= top
-        floor /= top  # T f + f >= f entrywise
-        if not floor > 0 and not (floor := g.min()) > 0:
+        g /= g.max()
+        if not g.min() > 0:
             break  # an entry underflowed to 0
         f = g
     rho = float(np.sqrt(lo_k * hi_k)) if lo_k > 0 else 0.0

@@ -189,7 +189,6 @@ class Policy:
     """Stationary randomized policy: ``phi[x, u]`` is P(action u | state x)."""
 
     phi: np.ndarray
-    kind: str = "randomized"
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -199,10 +198,6 @@ class Policy:
             raise SchemaError("policy rows must be nonnegative and finite")
         if np.any(np.abs(phi.sum(axis=1) - 1.0) > ROW_SUM_SILENT):
             raise NotStochastic("policy rows must sum to 1")
-        if self.kind not in ("deterministic", "randomized"):
-            raise SchemaError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "deterministic" and not np.all(np.isin(phi, (0.0, 1.0))):
-            raise SchemaError("deterministic policy rows must be one-hot")
         phi = phi.copy()
         phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
@@ -211,11 +206,16 @@ class Policy:
     def deterministic(cls, choices: Sequence[int], n_actions: int) -> "Policy":
         phi = np.zeros((len(choices), n_actions))
         phi[np.arange(len(choices)), list(choices)] = 1.0
-        return cls(phi, kind="deterministic")
+        return cls(phi)
 
     @classmethod
     def uniform(cls, n_states: int, n_actions: int) -> "Policy":
         return cls(np.full((n_states, n_actions), 1.0 / n_actions))
+
+    @property
+    def kind(self) -> str:
+        """``"deterministic"`` when every entry of ``phi`` is 0 or 1, else ``"randomized"``."""
+        return "deterministic" if np.isin(self.phi, (0.0, 1.0)).all() else "randomized"
 
     def choices(self) -> np.ndarray:
         """Per-state argmax action indices (ties to the lowest index)."""

@@ -3,15 +3,15 @@
 Paths are sampled with the counter-based Philox generator keyed by
 ``(seed, path index)``, so every path owns an independent, reproducible
 stream: results are bitwise identical for a given seed regardless of how
-the path loop is chunked or ordered.  Each block of paths re-keys one
-Philox bit generator per path rather than constructing a ``Generator``
-per path; the uniforms are the same bits ``Generator.random`` would give.
-Each step consumes two uniforms (action draw, next-state draw) via inverse
-CDF lookup.
+the path loop is chunked or ordered.  Each block of paths draws through
+one ``Generator`` whose Philox bit generator is re-keyed per path, rather
+than constructing a ``Generator`` per path.  Each step consumes two
+uniforms (action draw, next-state draw) via inverse CDF lookup.
 
-Estimates aggregate path products in log space with max-shifted sums;
-products that hit a zero reward factor contribute the minus-infinity
-marker, never a NaN.
+Path products are accumulated as sums of log weights, with ``-inf`` for a
+zero weight, so a path that hits a zero reward factor carries the
+minus-infinity marker to the end.  Estimates aggregate them with
+max-shifted sums, never producing a NaN.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import DimensionMismatch
 from .model import MdpModel, Policy
 
 _BLOCK_UNIFORMS = 1 << 21  # uniforms per block of paths (16 MB of float64)
-_CONVERT = 1 << 15  # uniforms converted per ufunc call, bounding its temporary
 
 
 @dataclass(frozen=True)
@@ -51,26 +50,19 @@ def _path_uniforms(seed: int, first_path: int, count: int, n: int) -> np.ndarray
     """Uniforms[count, n, 2] for paths first_path..first_path+count-1.
 
     Path ``p`` reads the stream of ``Philox(key=[seed, p])`` from a zero
-    counter: one bit generator is re-keyed per path, its raw 64-bit words
-    are written into the block in place, and the block is converted with
-    ``Generator.random``'s formula ``(word >> 11) * 2**-53``, so every value
-    is bit-identical to ``Generator(Philox(key=[seed, p])).random((n, 2))``.
+    counter: one bit generator under one ``Generator`` is re-keyed per path
+    and fills that path's row in place, so every row is
+    ``Generator(Philox(key=[seed, p])).random((n, 2))`` by construction.
     """
     out = np.empty((count, n, 2))
-    words = out.reshape(count, 2 * n).view(np.uint64)
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    draw = np.random.Generator(bits).random
     state = bits.state  # zero counter, empty buffer (buffer_pos 4)
     key = state["state"]["key"]
-    for j, row in enumerate(words):
+    for j, row in enumerate(out):
         key[1] = first_path + j
         bits.state = state
-        row[:] = bits.random_raw(2 * n)
-    flat, flat_words = out.reshape(-1), words.reshape(-1)
-    for i in range(0, flat.size, _CONVERT):
-        w = flat_words[i:i + _CONVERT]
-        np.right_shift(w, 11, out=w)
-        # in place across dtypes: numpy copies the input, so go in slices
-        np.multiply(w, 2.0 ** -53, out=flat[i:i + _CONVERT])
+        draw(out=row)
     return out
 
 
@@ -81,9 +73,10 @@ def _evolve(model: MdpModel, policy: Policy, x0: int, uniforms: np.ndarray,
     s, a = model.n_states, model.n_actions
     cum_phi = np.cumsum(policy.phi, axis=1)
     cum_ker = np.cumsum(model.kernel, axis=2)
+    w = model.weights
+    log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
     xs = np.full(b, x0, dtype=int)
     logs = np.zeros(b)
-    dead = np.zeros(b, dtype=bool)
     states = np.empty((b, n + 1), dtype=int) if record else None
     actions = np.empty((b, n), dtype=int) if record else None
     if record:
@@ -91,14 +84,11 @@ def _evolve(model: MdpModel, policy: Policy, x0: int, uniforms: np.ndarray,
     for m in range(n):
         us = np.minimum((cum_phi[xs] <= uniforms[:, m, 0][:, None]).sum(axis=1), a - 1)
         ys = np.minimum((cum_ker[xs, us] <= uniforms[:, m, 1][:, None]).sum(axis=1), s - 1)
-        w = model.weights[xs, us, ys]
-        dead |= w == 0
-        logs += np.log(np.where(w > 0, w, 1.0))
+        logs += log_w[xs, us, ys]
         if record:
             actions[:, m] = us
             states[:, m + 1] = ys
         xs = ys
-    logs[dead] = -np.inf
     return logs, states, actions
 
 

@@ -264,7 +264,8 @@ def _smoothed_dual(log_gain: np.ndarray, g: np.ndarray, tau: float):
     norm = e.sum(axis=2)
     L = zmax[:, :, 0] + np.log(norm) - g[:, None]
     top = L.max()
-    w = np.exp((L - top) / tau)
+    with np.errstate(over="ignore"):  # (L - top) / tau may overflow to -inf: exp gives its limit 0
+        w = np.exp((L - top) / tau)
     total = w.sum()
     return top + tau * np.log(total), L, w / total, e / norm[:, :, None]
 
@@ -286,9 +287,10 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
     Returns the :class:`Certificate` (``primal_lower`` is the value);
     raises :class:`NoConvergence` carrying the last certificate when
     ``iters`` Newton steps (each Newton system solved counts one) run out
-    first, or when a Newton system is singular in floating point and the
-    certificate closed at that ``g`` is still too wide.  A non-finite or
-    non-positive ``tol``, or ``iters`` below 1, is a ``ValueError``.
+    first, or when a Newton system is singular in floating point (its solve
+    fails or gives a non-finite step) and the certificate closed at that
+    ``g`` is still too wide.  A non-finite or non-positive ``tol``, or
+    ``iters`` below 1, is a ``ValueError``.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tol must be finite and > 0")
@@ -303,7 +305,7 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
     log_gain = np.log(model.gain)
     s = model.n_states
     g = np.zeros(s)
-    tau, used, singular = 1.0, 0, False
+    tau, used = 1.0, 0
     while True:
         f, L, w, q = _smoothed_dual(log_gain, g, tau)
         flow = np.einsum("xu,xuy->xy", w, q)
@@ -318,8 +320,10 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
         step = np.zeros(s)  # F_tau is flat along the ones vector: pin g[0]
         try:
             step[1:] = np.linalg.solve(hess[1:, 1:], -grad[1:])
-        except np.linalg.LinAlgError:  # singular in floating point: close at this g
-            singular = True
+        except np.linalg.LinAlgError:
+            step[1:] = np.nan
+        if singular := not np.isfinite(step).all():  # singular in floating point: close at this g
+            step[:] = 0.0
         decrement = -grad @ step
         used += 1
         if decrement > 0.01 * tol and used < iters:

@@ -55,27 +55,42 @@ def mild_model(seed: int) -> MdpModel:
     )
 
 
-def fuzz_model(seed: int, family: str) -> MdpModel:
-    """A draw of the fuzz families: 2..6 states, 1..3 actions.
+FUZZ_FAMILIES = ("scaled", "near-decomposable", "periodic", "zero-row", "wide")
 
-    The kernel is gamma(1) + 0.01, row-normalized.  ``"wide"`` draws weights
-    ``exp U(-600, 600)``; ``"near-decomposable"`` scales the kernel mass
-    between the states below ``s // 2`` and the rest by 1e-13 and draws
-    weights ``exp U(-1, 1)``.
+
+def fuzz_model(seed: int, family: str) -> MdpModel:
+    """A draw of one of the ``FUZZ_FAMILIES``: 2..6 states, 1..3 actions.
+
+    The base draw has kernel gamma(1) + 0.01, row-normalized, and weights
+    ``exp U(-1, 1)``.  ``"wide"`` draws weights ``exp U(-600, 600)``;
+    ``"near-decomposable"`` scales the kernel mass between the states below
+    ``s // 2`` and the rest by 1e-13; ``"scaled"`` multiplies all weights by
+    one of 1e-300, 1e-200, 1e200 and 1e300; ``"periodic"`` keeps only the
+    kernel entries from each state to the next one mod ``s``, a cycle;
+    ``"zero-row"`` zeroes the weights of one state-action pair.
     """
+    if family not in FUZZ_FAMILIES:
+        raise ValueError(f"unknown fuzz family {family!r}")
     rng = np.random.default_rng(seed)
     s, a = int(rng.integers(2, 7)), int(rng.integers(1, 4))
     kernel = rng.gamma(1.0, size=(s, a, s)) + 0.01
     if family == "near-decomposable":
         block = np.arange(s) < s // 2
         kernel *= np.where(block[:, None, None] == block[None, None, :], 1.0, 1e-13)
+    if family == "periodic":
+        kernel *= np.roll(np.eye(s), 1, axis=1)[:, None, :]
     kernel /= kernel.sum(axis=2, keepdims=True)
-    spread = {"wide": 600.0, "near-decomposable": 1.0}[family]
+    spread = 600.0 if family == "wide" else 1.0
+    weights = np.exp(rng.uniform(-spread, spread, size=(s, a, s)))
+    if family == "scaled":
+        weights *= rng.choice([1e-300, 1e-200, 1e200, 1e300])
+    if family == "zero-row":
+        weights[rng.integers(s), rng.integers(a)] = 0.0
     return MdpModel(
         states=[f"s{i}" for i in range(s)],
         actions=[f"a{u}" for u in range(a)],
         kernel=kernel,
-        weights=np.exp(rng.uniform(-spread, spread, size=(s, a, s))),
+        weights=weights,
     )
 
 

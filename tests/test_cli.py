@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import growthcert
-from conftest import fuzz_model, mild_model, random_positive_model
-from growthcert import Policy, eigensolver, estimate_growth, load_model, save_model, solve_eigen
+from conftest import FUZZ_FAMILIES, fuzz_model, mild_model, random_positive_model
+from growthcert import (Policy, eigensolver, estimate_growth, jsonio, load_model, save_model,
+                        solve_eigen)
 from growthcert.cli import run
 
 
@@ -286,6 +287,28 @@ def test_fuzz_draw_exits_3_with_one_document_and_no_stderr(capsys, tmp_path, com
     if command == "solve":
         assert doc["converged"] is False and doc["iterations"] == 2
         assert "underflows an entry of psi" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("family", FUZZ_FAMILIES)
+def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family):
+    # every call ends in a certified answer or a typed error: exit 0, 2 or 3
+    # with one JSON document, no NaN and nothing on stderr (warnings are errors)
+    def no_nan(constant):
+        raise AssertionError(f"{constant} in the document")
+
+    for seed in (1000, 1001, 1002, 1003, 1004, 1026):
+        model = fuzz_model(seed, family)
+        path, policy = str(tmp_path / "model.json"), str(tmp_path / "policy.json")
+        save_model(model, path)
+        jsonio.dump({"phi": Policy.uniform(model.n_states, model.n_actions).phi}, policy)
+        for argv in (["solve", path, "--max-iter", "2000"],
+                     ["solve", path, "--eps-fallback", "1e-6"],
+                     ["variational", path],
+                     ["mc", path, "--policy", policy, "--n", "30", "--paths", "200"]):
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2, 3) and captured.err == "", (seed, argv[0])
+            json.loads(captured.out, parse_constant=no_nan)
 
 
 def test_eps_sweep_rising_rates_exit_3_with_an_error_document(capsys, tmp_path, monkeypatch):

@@ -190,8 +190,8 @@ def test_validate_is_idempotent_and_pure():
 def test_policy_rows_must_be_distributions():
     with pytest.raises(NotStochastic):
         Policy(np.array([[0.5, 0.4]]))
-    with pytest.raises(SchemaError):
-        Policy(np.array([[0.5, 0.5]]), kind="deterministic")
+    assert Policy(np.array([[0.5, 0.5]])).kind == "randomized"
+    assert Policy(np.array([[0.0, 1.0], [1.0, 0.0]])).kind == "deterministic"
 
 
 def test_policy_constructors_and_choices():

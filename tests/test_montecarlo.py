@@ -148,12 +148,62 @@ def test_streams_match_per_path_generators_bit_for_bit(monkeypatch, n, seed):
     reference, _, _ = montecarlo._evolve(model, policy, 0,
                                          _reference_uniforms(seed, 0, paths, n))
     one_block = sample_log_products(model, policy, n=n, paths=paths, seed=seed)
-    # five paths per block (the last one partial), converted seven words at a time
+    # five paths per block (the last one partial)
     monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", 5 * 2 * n)
-    monkeypatch.setattr(montecarlo, "_CONVERT", 7)
     many_blocks = sample_log_products(model, policy, n=n, paths=paths, seed=seed)
     assert_array_equal(one_block.view(np.uint64), reference.view(np.uint64))
     assert_array_equal(many_blocks.view(np.uint64), reference.view(np.uint64))
+
+
+def _reference_evolve(model: MdpModel, policy: Policy, x0: int, uniforms: np.ndarray):
+    """Path evolution with a dead mask and a log of the gathered weights per step."""
+    b, n, _ = uniforms.shape
+    s, a = model.n_states, model.n_actions
+    cum_phi = np.cumsum(policy.phi, axis=1)
+    cum_ker = np.cumsum(model.kernel, axis=2)
+    xs = np.full(b, x0, dtype=int)
+    logs = np.zeros(b)
+    dead = np.zeros(b, dtype=bool)
+    states = np.empty((b, n + 1), dtype=int)
+    actions = np.empty((b, n), dtype=int)
+    states[:, 0] = xs
+    for m in range(n):
+        us = np.minimum((cum_phi[xs] <= uniforms[:, m, 0][:, None]).sum(axis=1), a - 1)
+        ys = np.minimum((cum_ker[xs, us] <= uniforms[:, m, 1][:, None]).sum(axis=1), s - 1)
+        w = model.weights[xs, us, ys]
+        dead |= w == 0
+        logs += np.log(np.where(w > 0, w, 1.0))
+        actions[:, m] = us
+        states[:, m + 1] = ys
+        xs = ys
+    logs[dead] = -np.inf
+    return logs, states, actions
+
+
+@pytest.mark.parametrize("paths_per_block", [1, 7, None])
+@pytest.mark.parametrize("kind", ["deterministic", "randomized"])
+def test_evolution_matches_reference_on_dying_paths(monkeypatch, kind, paths_per_block):
+    rng = np.random.default_rng(11)
+    base = mild_model(6)
+    weights = np.where(rng.random(base.weights.shape) < 0.1, 0.0, base.weights)
+    model = MdpModel(states=base.states, actions=base.actions, kernel=base.kernel,
+                     weights=weights)
+    s, a = model.n_states, model.n_actions
+    policy = (Policy.deterministic(rng.integers(a, size=s), a) if kind == "deterministic"
+              else Policy.uniform(s, a))
+    assert policy.kind == kind
+    n, paths, seed = 12, 60, 4
+    want, states, actions = _reference_evolve(model, policy, 1,
+                                              _reference_uniforms(seed, 0, paths, n))
+    assert 0 < np.isinf(want).sum() < paths
+    if paths_per_block:
+        monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", paths_per_block * 2 * n)
+    got = sample_log_products(model, policy, n=n, paths=paths, x0=1, seed=seed)
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    path_states, path_actions, log_product = simulate(model, policy, n=n, x0=1, seed=seed)
+    assert_array_equal(path_states, states[0])
+    assert_array_equal(path_actions, actions[0])
+    assert np.float64(log_product).view(np.uint64) == want[:1].view(np.uint64)[0]
 
 
 def test_estimate_constant_chain_recovers_rate_exactly():
