@@ -134,15 +134,21 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
     """The certified loop on ``(T f)(x) = max_u gain[x, u, :] @ f``, from the positive ``f``.
 
     Each iteration applies ``T`` once and checks the bracket at ``f``.  It
-    stops when the bracket closes, after ``max_iter`` iterations, or before a
-    damped step that would underflow an entry of ``f`` to 0, so ``psi`` is
-    always the vector its bracket belongs to.  Damped steps run on ``2**-k T``,
-    with ``k`` taken from the bracket unless it overlaps [1/2, 2], since the
-    shift ``+ f`` suits ``rho`` near 1.  After ``_POWER_STEPS`` iterations come
-    shifted inverse steps on the greedy policy, with ``k`` re-taken at each
-    check, until one fails or does not raise the lower end; then damped steps.
+    stops when the bracket closes, after ``max_iter`` iterations, before a
+    damped step that would underflow an entry of ``f`` to 0, or at an ``f``
+    that repeats bitwise, so ``psi`` is always the vector its bracket belongs
+    to.  Damped steps run on ``2**-k T``, with ``k`` taken from the bracket
+    unless it overlaps [1/2, 2], since the shift ``+ f`` suits ``rho`` near 1.
+    After ``_POWER_STEPS`` iterations come shifted inverse steps on the greedy
+    policy, with ``k`` re-taken at each check, until one fails or does not
+    raise the lower end; then damped steps.  From there the next ``f``
+    depends on ``f`` alone, so a repeated ``f`` means a cycle that never
+    closes the bracket: Brent's cycle search keeps the ``f`` of the last
+    power-of-two iteration and stops at the first one equal to it.  Returns
+    the solution and, when it did not converge, why the loop stopped.
     """
     k, last = 0, -math.inf  # last: lo at the last inverse step, None once they stop
+    mark = None  # the f of the last power-of-two iteration after the inverse steps
     for iters in range(1, max_iter + 1):
         per_action = gain @ f
         tf = per_action.max(axis=1)
@@ -158,7 +164,14 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
         ratios = tf / f
         lo_k, hi_k = float(ratios.min()), float(ratios.max())
         if (ok := lo_k > 0 and hi_k - lo_k <= tol * lo_k) or iters == max_iter:
+            why = None if ok else f"within {max_iter} iterations"
             break
+        if last is None:
+            if mark is not None and (f == mark).all():
+                why = f"after {iters} iterations: psi repeats bitwise without closing the bracket"
+                break
+            if iters & (iters - 1) == 0:
+                mark = f
         if inverse:
             y = None
             if sigma > 0 and lo > last:
@@ -170,14 +183,15 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
         g = tf + f
         g /= g.max()
         if not g.min() > 0:
-            break  # an entry underflowed to 0
+            why = f"after {iters} iterations: the next step underflows an entry of psi to 0"
+            break
         f = g
     rho = float(np.sqrt(lo_k * hi_k)) if lo_k > 0 else 0.0
     log_rho = float(np.log(rho)) + k * math.log(2) if rho > 0 else -math.inf
     policy = Policy.deterministic(per_action.argmax(axis=1), gain.shape[1])
     return EigenSolution(rho=math.ldexp(rho, k), log_rho=log_rho, psi=f, v_star=policy,
                          cw_lower=math.ldexp(lo_k, k), cw_upper=math.ldexp(hi_k, k),
-                         iterations=iters, converged=ok, epsilon=epsilon)
+                         iterations=iters, converged=ok, epsilon=epsilon), why
 
 
 def solve_eigen(
@@ -223,11 +237,9 @@ def solve_eigen(
                 "gain graph is not strongly connected; pass eps_fallback to solve "
                 "the smoothed companion model instead"
             )
-    sol = _certified_iteration(model.gain, np.ones(model.n_states), tol, max_iter, epsilon)
+    sol, why = _certified_iteration(model.gain, np.ones(model.n_states), tol, max_iter, epsilon)
     if not sol.converged:
         lo, hi = sol.cw_lower, sol.cw_upper
-        why = (f"within {max_iter} iterations" if sol.iterations == max_iter else
-               f"after {sol.iterations} iterations: the next step underflows an entry of psi to 0")
         raise NoConvergence(f"eigen iteration did not reach tolerance {tol:g} {why} "
                             f"(bracket [{lo:g}, {hi:g}])",
                             iterations=sol.iterations, bracket=(lo, hi), solution=sol)
@@ -256,7 +268,7 @@ def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
         gains = 0.5 * (np.log(lo) + np.log(hi))
     done = (lo > 0) & (hi - lo <= tol * lo)
     for p in np.flatnonzero(~done):
-        sol = _certified_iteration(mats[p][:, None, :], f[p], tol, max_iter)
+        sol, _ = _certified_iteration(mats[p][:, None, :], f[p], tol, max_iter)
         gains[p], done[p] = sol.log_rho, sol.converged
     return gains, done
 

@@ -6,7 +6,9 @@ stream: results are bitwise identical for a given seed regardless of how
 the path loop is chunked or ordered.  Each block of paths draws through
 one ``Generator`` whose Philox bit generator is re-keyed per path, rather
 than constructing a ``Generator`` per path.  Each step consumes two
-uniforms (action draw, next-state draw) via inverse CDF lookup.
+uniforms (action draw, next-state draw), each looked up in a guide table
+(the indexed search of Chen & Asau, 1974) that returns the inverse-CDF
+draw bit for bit; the tables are built once per call.
 
 Path products are accumulated as sums of log weights, with ``-inf`` for a
 zero weight, so a path that hits a zero reward factor carries the
@@ -25,6 +27,7 @@ from .errors import DimensionMismatch
 from .model import MdpModel, Policy
 
 _BLOCK_UNIFORMS = 1 << 21  # uniforms per block of paths (16 MB of float64)
+_BUCKETS_PER_ENTRY = 8  # guide-table buckets per CDF entry, rounded up to a power of two
 
 
 @dataclass(frozen=True)
@@ -66,15 +69,68 @@ def _path_uniforms(seed: int, first_path: int, count: int, n: int) -> np.ndarray
     return out
 
 
-def _evolve(model: MdpModel, policy: Policy, x0: int, uniforms: np.ndarray,
-            record: bool = False):
-    """Advance a block of paths; returns (log_products, states?, actions?)."""
-    b, n, _ = uniforms.shape
-    s, a = model.n_states, model.n_actions
-    cum_phi = np.cumsum(policy.phi, axis=1)
-    cum_ker = np.cumsum(model.kernel, axis=2)
-    w = model.weights
+class _GuideTable:
+    """Inverse-CDF draws on the rows of ``probs`` through a guide table.
+
+    The indexed search of Chen & Asau (AIIE Trans. 6, 1974; Devroye 1986,
+    ch. III).  With ``cum`` the row-wise cumulative sums, bucket ``j`` of row
+    ``r`` holds the draw ``min((cum[r] <= u).sum(), width - 1)`` shared by
+    every ``u`` in ``[j/K, (j+1)/K)``, or -1 when a CDF entry splits the
+    bucket.  With ``K`` a power of two, ``floor(u K)`` is exact, so a draw
+    reads its bucket, and only a draw in a split bucket searches its row:
+    every draw equals the plain inverse-CDF count bit for bit.  A uniform
+    draw lands in a split bucket with probability below ``width / K``.
+    Buckets take the smallest signed type that holds them (int8 or int16
+    below 32,768 columns), so a kernel's guide is at most four times the
+    kernel's size, and its search keys twice.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        self.width = width = probs.shape[-1]
+        cum = np.cumsum(probs, axis=-1).reshape(-1, width)
+        # the rows as one increasing array: numpy orders complex numbers by
+        # real part, then imaginary part, so row r's keys are r + 1j cum[r]
+        self.keys = (np.arange(len(cum))[:, None] + 1j * cum).ravel()
+        self.buckets = k = 1 << (_BUCKETS_PER_ENTRY * width - 1).bit_length()
+        # a CDF entry c counts from edge first on: c <= j/K exactly when j >= first
+        first = np.searchsorted(np.arange(k + 1) / k, cum)
+        # bucket j holds the clamped count at its left edge j/K ...
+        draws = np.minimum(np.arange(width + 1), width - 1).astype(np.min_scalar_type(-width))
+        runs = np.diff(np.minimum(first, k), prepend=0, append=k)
+        self.guide = np.repeat(np.tile(draws, len(first)), runs.ravel())
+        # ... unless an entry below the last one counts from its right edge
+        r, i = np.nonzero((first[:, :-1] > 0) & (first[:, :-1] <= k))
+        self.guide[r * k + first[r, i] - 1] = -1
+
+    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The inverse-CDF draw of ``u`` on each of ``rows``."""
+        cell = (u * self.buckets).astype(np.intp)
+        cell += rows * self.buckets
+        out = self.guide[cell].astype(np.intp)
+        split = np.flatnonzero(out < 0)
+        if split.size:
+            r = rows[split]
+            count = np.searchsorted(self.keys, r + 1j * u[split], side="right") - r * self.width
+            out[split] = np.minimum(count, self.width - 1)
+        return out
+
+
+def _tables(model: MdpModel, policy: Policy):
+    """The action and next-state guide tables and the flat log-weight table.
+
+    ``log_w`` holds ``-inf`` for a zero weight, so a path that takes one
+    carries the minus-infinity marker to the end.
+    """
+    w = model.weights.ravel()
     log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+    return _GuideTable(policy.phi), _GuideTable(model.kernel), log_w
+
+
+def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
+    """Advance a block of paths; returns (log_products, states?, actions?)."""
+    actions_of, next_of, log_w = tables
+    a, s = actions_of.width, next_of.width
+    b, n, _ = uniforms.shape
     xs = np.full(b, x0, dtype=int)
     logs = np.zeros(b)
     states = np.empty((b, n + 1), dtype=int) if record else None
@@ -82,9 +138,10 @@ def _evolve(model: MdpModel, policy: Policy, x0: int, uniforms: np.ndarray,
     if record:
         states[:, 0] = xs
     for m in range(n):
-        us = np.minimum((cum_phi[xs] <= uniforms[:, m, 0][:, None]).sum(axis=1), a - 1)
-        ys = np.minimum((cum_ker[xs, us] <= uniforms[:, m, 1][:, None]).sum(axis=1), s - 1)
-        logs += log_w[xs, us, ys]
+        us = actions_of.draw(xs, uniforms[:, m, 0])
+        rows = xs * a + us
+        ys = next_of.draw(rows, uniforms[:, m, 1])
+        logs += log_w[rows * s + ys]
         if record:
             actions[:, m] = us
             states[:, m + 1] = ys
@@ -118,7 +175,7 @@ def simulate(model: MdpModel, policy: Policy, n: int, x0: int = 0, seed: int = 0
     """
     _check_common(model, policy, n, x0, seed)
     logs, states, actions = _evolve(
-        model, policy, x0, _path_uniforms(seed, 0, 1, n), record=True
+        _tables(model, policy), x0, _path_uniforms(seed, 0, 1, n), record=True
     )
     return states[0], actions[0], float(logs[0])
 
@@ -130,11 +187,11 @@ def sample_log_products(model: MdpModel, policy: Policy, n: int, paths: int,
     if paths < 1:
         raise ValueError("paths must be >= 1")
     out = np.empty(paths)
+    tables = _tables(model, policy)
     block = max(1, _BLOCK_UNIFORMS // (2 * n))
     for start in range(0, paths, block):
         count = min(block, paths - start)
-        logs, _, _ = _evolve(model, policy, x0,
-                             _path_uniforms(seed, start, count, n))
+        logs, _, _ = _evolve(tables, x0, _path_uniforms(seed, start, count, n))
         out[start:start + count] = logs
     return out
 

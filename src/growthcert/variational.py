@@ -314,9 +314,10 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
         # sum_w (diag q - q q^T) + Cov_w(q - e_x) / tau, expanded so that one
         # (s*a) x s product carries both sums of q q^T
         rows = q.reshape(-1, s)
-        hess = ((1.0 / tau - 1.0) * (rows.T * w.ravel()) @ rows
-                + np.diag(into + out / tau)
-                - (flow + flow.T + np.outer(grad, grad)) / tau)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1 / tau may overflow: a singular system
+            hess = ((1.0 / tau - 1.0) * (rows.T * w.ravel()) @ rows
+                    + np.diag(into + out / tau)
+                    - (flow + flow.T + np.outer(grad, grad)) / tau)
         step = np.zeros(s)  # F_tau is flat along the ones vector: pin g[0]
         try:
             step[1:] = np.linalg.solve(hess[1:, 1:], -grad[1:])
@@ -334,8 +335,10 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
                 t /= 2
             g = g + t * step
             continue
-        # w's action law, as a soft-max per state so that no row underflows to zero
-        phi = np.exp((L - L.max(axis=1, keepdims=True)) / tau)
+        # w's action law, as a soft-max per state so that no row underflows to zero;
+        # (L - max) / tau may overflow to -inf, whose exp, 0, is the limit
+        with np.errstate(over="ignore"):
+            phi = np.exp((L - L.max(axis=1, keepdims=True)) / tau)
         eta = _stationary_measure(phi / phi.sum(axis=1, keepdims=True), q)
         value = objective_psi0(model, eta)
         dual = dual_bound(model, g)

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import growthcert
 from conftest import FUZZ_FAMILIES, fuzz_model, mild_model, random_positive_model
@@ -290,25 +292,52 @@ def test_fuzz_draw_exits_3_with_one_document_and_no_stderr(capsys, tmp_path, com
 
 
 @pytest.mark.parametrize("family", FUZZ_FAMILIES)
-def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family):
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=1000)
+@example(seed=1001)
+@example(seed=1002)
+@example(seed=1003)
+@example(seed=1004)
+@example(seed=1026)
+@example(seed=79_256)  # variational: (L - max) / tau overflowed in the action law
+@example(seed=4_000_000_008)  # variational: 1 / tau overflowed in the Newton system
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
     # every call ends in a certified answer or a typed error: exit 0, 2 or 3
-    # with one JSON document, no NaN and nothing on stderr (warnings are errors)
+    # with one JSON document, no NaN and nothing on stderr (warnings are errors);
+    # the seed draws the sizes (2..6 states, 1..3 actions) and the entries
     def no_nan(constant):
         raise AssertionError(f"{constant} in the document")
 
-    for seed in (1000, 1001, 1002, 1003, 1004, 1026):
-        model = fuzz_model(seed, family)
-        path, policy = str(tmp_path / "model.json"), str(tmp_path / "policy.json")
-        save_model(model, path)
-        jsonio.dump({"phi": Policy.uniform(model.n_states, model.n_actions).phi}, policy)
-        for argv in (["solve", path, "--max-iter", "2000"],
-                     ["solve", path, "--eps-fallback", "1e-6"],
-                     ["variational", path],
-                     ["mc", path, "--policy", policy, "--n", "30", "--paths", "200"]):
-            code = run(argv)
-            captured = capsys.readouterr()
-            assert code in (0, 2, 3) and captured.err == "", (seed, argv[0])
-            json.loads(captured.out, parse_constant=no_nan)
+    model = fuzz_model(seed, family)
+    path, policy = str(tmp_path / "model.json"), str(tmp_path / "policy.json")
+    save_model(model, path)
+    jsonio.dump({"phi": Policy.uniform(model.n_states, model.n_actions).phi}, policy)
+    capsys.readouterr()
+    for argv in (["solve", path, "--max-iter", "2000"],
+                 ["solve", path, "--eps-fallback", "1e-6"],
+                 ["variational", path],
+                 ["mc", path, "--policy", policy, "--n", "30", "--paths", "200"]):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3) and captured.err == "", argv[0]
+        json.loads(captured.out, parse_constant=no_nan)
+
+
+@pytest.mark.parametrize("seed", [3, 10, 55])
+def test_wide_draw_with_a_repeating_psi_exits_3_early(capsys, tmp_path, seed):
+    # from about iteration 260-290 psi repeats bitwise with period 2, 6 or 3,
+    # which used to spend the whole 100,000-step budget
+    path = str(tmp_path / "model.json")
+    save_model(fuzz_model(seed, "wide"), path)
+    code = run(["solve", path])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 3 and captured.err == ""
+    assert doc["converged"] is False and doc["error"]["type"] == "NoConvergence"
+    assert "psi repeats bitwise" in doc["error"]["message"]
+    assert doc["iterations"] < 1000
 
 
 def test_eps_sweep_rising_rates_exit_3_with_an_error_document(capsys, tmp_path, monkeypatch):

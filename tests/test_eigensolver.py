@@ -235,6 +235,22 @@ def test_solve_stops_at_an_underflowed_psi_entry():
     assert cw_bounds(model, partial.psi) == err.bracket == (partial.cw_lower, partial.cw_upper)
 
 
+@pytest.mark.parametrize("seed", [3, 10, 55])
+def test_solve_stops_at_a_repeating_psi(seed):
+    # once the inverse steps have stopped, psi cycles bitwise (periods 2, 6 and 3);
+    # the loop stops at the first repeat of its power-of-two checkpoint
+    model = fuzz_model(seed, "wide")
+    with pytest.raises(NoConvergence, match="psi repeats bitwise") as exc_info:
+        solve_eigen(model)
+    err = exc_info.value
+    partial = err.solution
+    assert 512 < err.iterations == partial.iterations < 1000 and not partial.converged
+    assert cw_bounds(model, partial.psi) == err.bracket == (partial.cw_lower, partial.cw_upper)
+    with pytest.raises(NoConvergence) as checkpoint:
+        solve_eigen(model, max_iter=512)
+    assert_array_equal(checkpoint.value.solution.psi, partial.psi)
+
+
 def test_solve_rejects_nonpositive_fallback():
     with pytest.raises(ValueError, match="eps_fallback"):
         solve_eigen(fib_model(), eps_fallback=0.0)

@@ -145,8 +145,7 @@ def test_streams_match_per_path_generators_bit_for_bit(monkeypatch, n, seed):
     want = _reference_uniforms(seed, 1_000_003, paths, n)
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    reference, _, _ = montecarlo._evolve(model, policy, 0,
-                                         _reference_uniforms(seed, 0, paths, n))
+    reference, _, _ = _reference_evolve(model, policy, 0, _reference_uniforms(seed, 0, paths, n))
     one_block = sample_log_products(model, policy, n=n, paths=paths, seed=seed)
     # five paths per block (the last one partial)
     monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", 5 * 2 * n)
@@ -204,6 +203,97 @@ def test_evolution_matches_reference_on_dying_paths(monkeypatch, kind, paths_per
     assert_array_equal(path_states, states[0])
     assert_array_equal(path_actions, actions[0])
     assert np.float64(log_product).view(np.uint64) == want[:1].view(np.uint64)[0]
+
+
+@pytest.mark.parametrize("buckets_per_entry", [0, 1, None])
+def test_guide_table_draws_the_clamped_inverse_cdf_count(monkeypatch, buckets_per_entry):
+    # rows that stop short of 1 too: a draw above the last entry clamps to the last column
+    if buckets_per_entry is not None:
+        monkeypatch.setattr(montecarlo, "_BUCKETS_PER_ENTRY", buckets_per_entry)
+    probs = np.array([[0.25, 0.25, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [0.1, 0.2, 0.3, 0.4],
+                      [0.0, 0.0, 0.0, 0.3], [0.125, 0.0, 0.625, 0.25]])
+    table = montecarlo._GuideTable(probs)
+    cum = np.cumsum(probs, axis=1)
+    edges = np.arange(table.buckets) / table.buckets
+    points = np.concatenate([cum.ravel(), edges, np.nextafter(cum.ravel(), 0.0),
+                             np.nextafter(edges, 0.0), np.random.default_rng(3).random(50)])
+    points = points[(points >= 0.0) & (points < 1.0)]
+    rows = np.repeat(np.arange(len(probs)), len(points))
+    u = np.tile(points, len(probs))
+    want = np.minimum((cum[rows] <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
+    assert_array_equal(table.draw(rows, u), want)
+
+
+def _assert_evolution_matches_reference(model: MdpModel, policy: Policy, x0: int,
+                                        uniforms: np.ndarray):
+    want = _reference_evolve(model, policy, x0, uniforms)
+    tables = montecarlo._tables(model, policy)
+    logs, _, _ = montecarlo._evolve(tables, x0, uniforms)
+    got = montecarlo._evolve(tables, x0, uniforms, record=True)
+    assert_array_equal(logs.view(np.uint64), want[0].view(np.uint64))
+    assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+    assert_array_equal(got[1], want[1])
+    assert_array_equal(got[2], want[2])
+
+
+def _edge_case_model() -> tuple[MdpModel, Policy]:
+    """Dyadic CDF entries, zero-mass entries, zero-probability actions, short rows."""
+    kernel = np.array([
+        [[0.25, 0.25, 0.0, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4, 0.0]],
+        [[0.2, 0.2, 0.2, 0.2, 0.2 - 1e-13], [0.0, 0.5, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5 - 4e-13, 0.0], [0.125, 0.375, 0.5, 0.0, 0.0]],
+        [[0.1, 0.1, 0.1, 0.1, 0.6], [0.3, 0.3, 0.1, 0.1, 0.2], [0.0, 0.25, 0.25, 0.25, 0.25]],
+        [[0.5, 0.5, 0.0, 0.0, 0.0], [0.2, 0.0, 0.3, 0.0, 0.5], [0.0, 0.0, 0.5, 0.0, 0.5]],
+    ])
+    weights = np.exp(np.random.default_rng(2).uniform(-1.0, 1.0, kernel.shape))
+    weights[kernel == 0] = 0.0  # a path can only die on a zero-mass entry ...
+    weights[3, 1, 4] = 0.0  # ... or here
+    model = MdpModel(states=[f"s{i}" for i in range(5)], actions=["u0", "u1", "u2"],
+                     kernel=kernel, weights=weights)
+    phi = [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3],
+           [0.0, 0.75, 0.25]]
+    return model, Policy(np.array(phi))
+
+
+@pytest.mark.parametrize("buckets_per_entry", [0, None])
+def test_evolution_matches_reference_on_bucket_edges_and_cdf_entries(monkeypatch,
+                                                                      buckets_per_entry):
+    # 0 buckets per entry leaves two buckets per row, fewer than the five entries
+    if buckets_per_entry is not None:
+        monkeypatch.setattr(montecarlo, "_BUCKETS_PER_ENTRY", buckets_per_entry)
+    model, policy = _edge_case_model()
+    tables = montecarlo._tables(model, policy)
+    assert tables[1].buckets < model.n_states if buckets_per_entry == 0 else \
+        tables[1].buckets > model.n_states
+    kernel_cdf = np.cumsum(model.kernel, axis=2)
+    assert kernel_cdf[1, 0, -1] < 1.0 - 2 ** -53  # a drawn u can lie above it
+    cdf = np.concatenate([np.cumsum(policy.phi, axis=1).ravel(), kernel_cdf.ravel()])
+    edges = np.concatenate([np.arange(t.buckets) / t.buckets for t in tables[:2]])
+    points = np.concatenate([cdf, edges, np.nextafter(cdf, 0.0), np.nextafter(edges, 0.0),
+                             np.nextafter(cdf, 1.0), [1.0 - 2 ** -53]])
+    points = np.unique(points[(points >= 0.0) & (points < 1.0)])
+    rng = np.random.default_rng(5)
+    uniforms = rng.choice(points, size=(4000, 9, 2))
+    uniforms[::2, :, 1] = rng.random((2000, 9))  # mixed with draws off every edge
+    for x0 in range(model.n_states):
+        _assert_evolution_matches_reference(model, policy, x0, uniforms)
+
+
+@pytest.mark.parametrize("big_first", [False, True])
+def test_evolution_matches_reference_on_a_crowded_bucket(big_first):
+    # 199 entries of mass 1e-7 share one bucket; most draws land in it
+    s = 200
+    row = np.full(s, 1e-7)
+    row[0 if big_first else -1] = 1.0 - 1e-7 * (s - 1)
+    rng = np.random.default_rng(8)
+    model = MdpModel(states=[f"s{i}" for i in range(s)], actions=["u"],
+                     kernel=np.tile(row, (s, 1, 1)),
+                     weights=np.exp(rng.uniform(-0.1, 0.1, (s, 1, s))))
+    policy = Policy.uniform(s, 1)
+    uniforms = rng.random((3000, 6, 2))
+    crowd = rng.random((2000, 6)) * 199e-7
+    uniforms[:2000, :, 1] = 1.0 - crowd if big_first else crowd
+    _assert_evolution_matches_reference(model, policy, 0, uniforms)
 
 
 def test_estimate_constant_chain_recovers_rate_exactly():

@@ -462,6 +462,17 @@ def test_maximize_types_a_singular_newton_system():
     assert cert.primal_lower <= solve_eigen(model).log_rho <= cert.dual_upper
 
 
+@pytest.mark.parametrize("seed", [79_256, 4_000_000_008])
+def test_maximize_types_a_newton_system_whose_scale_overflows(seed):
+    # the gap of these wide-range draws never closes, so tau falls tenfold per
+    # round until (L - max) / tau and 1 / tau overflow; that system is
+    # singular, with no warning
+    model = fuzz_model(seed, "wide")
+    with pytest.raises(NoConvergence, match="singular Newton system") as exc_info:
+        maximize(model)
+    assert exc_info.value.certificate.gap > 1e-6
+
+
 def test_sweep_grid_must_decrease():
     with pytest.raises(ValueError, match="decreasing"):
         epsilon_sweep(_singleton(1.0), [0.01, 0.1])
