@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,14 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
             why = f"after {iters} iterations: the next step underflows an entry of psi to 0"
             break
         f = g
-    rho = float(np.sqrt(lo_k * hi_k)) if lo_k > 0 else 0.0
+    rho = 0.0
+    if lo_k > 0:
+        e = 0
+        if not sys.float_info.min <= lo_k * hi_k < math.inf:
+            # past about 1e154 (or below 1e-154) with k = 0 the product leaves the
+            # normal range: take it at the scale 4**-e, so rho stays in the bracket
+            e = (math.frexp(lo_k)[1] + math.frexp(hi_k)[1]) // 2
+        rho = math.ldexp(math.sqrt(math.ldexp(lo_k, -e) * math.ldexp(hi_k, -e)), e)
     log_rho = float(np.log(rho)) + k * math.log(2) if rho > 0 else -math.inf
     policy = Policy.deterministic(per_action.argmax(axis=1), gain.shape[1])
     return EigenSolution(rho=math.ldexp(rho, k), log_rho=log_rho, psi=f, v_star=policy,

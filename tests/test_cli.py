@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import growthcert
-from conftest import FUZZ_FAMILIES, fuzz_model, mild_model, random_positive_model
+from conftest import FUZZ_FAMILIES, FUZZ_NIGHTLY, fuzz_model, mild_model, random_positive_model
 from growthcert import (Policy, eigensolver, estimate_growth, jsonio, load_model, save_model,
                         solve_eigen)
 from growthcert.cli import run
@@ -301,12 +301,19 @@ def test_fuzz_draw_exits_3_with_one_document_and_no_stderr(capsys, tmp_path, com
 @example(seed=1026)
 @example(seed=79_256)  # variational: (L - max) / tau overflowed in the action law
 @example(seed=4_000_000_008)  # variational: 1 / tau overflowed in the Newton system
-@settings(max_examples=20, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(seed=8)  # solve: rho past 1e154 overflowed to inf (as did 24, 113, 4_000_000_008)
+@example(seed=24)
+@example(seed=113)
+@settings(settings.get_profile(FUZZ_NIGHTLY)
+          if settings.get_current_profile_name() == FUZZ_NIGHTLY
+          else settings(max_examples=20, derandomize=True),
+          deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
     # every call ends in a certified answer or a typed error: exit 0, 2 or 3
     # with one JSON document, no NaN and nothing on stderr (warnings are errors);
-    # the seed draws the sizes (2..6 states, 1..3 actions) and the entries
+    # a converged solve has a finite rho and lambda, and none fails its own
+    # eigensolution check; the seed draws the sizes (2..6 states, 1..3 actions)
+    # and the entries
     def no_nan(constant):
         raise AssertionError(f"{constant} in the document")
 
@@ -322,7 +329,12 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
         code = run(argv)
         captured = capsys.readouterr()
         assert code in (0, 2, 3) and captured.err == "", argv[0]
-        json.loads(captured.out, parse_constant=no_nan)
+        doc = json.loads(captured.out, parse_constant=no_nan)
+        if argv[0] == "solve":
+            assert doc.get("error", {}).get("type") != "RowSumViolation", doc
+            if doc.get("converged"):
+                assert all(isinstance(doc[key], float) and math.isfinite(doc[key])
+                           for key in ("rho", "lambda")), doc
 
 
 @pytest.mark.parametrize("seed", [3, 10, 55])
@@ -338,6 +350,21 @@ def test_wide_draw_with_a_repeating_psi_exits_3_early(capsys, tmp_path, seed):
     assert doc["converged"] is False and doc["error"]["type"] == "NoConvergence"
     assert "psi repeats bitwise" in doc["error"]["message"]
     assert doc["iterations"] < 1000
+
+
+@pytest.mark.parametrize("seed", [8, 24, 113, 4_000_000_008])
+def test_wide_draw_with_rho_past_1e154_exits_0(capsys, tmp_path, seed):
+    # rho overflowed to inf and the eigensolution check exited 2 (RowSumViolation)
+    path = str(tmp_path / "model.json")
+    save_model(fuzz_model(seed, "wide"), path)
+    code = run(["solve", path])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 0 and captured.err == "" and doc["converged"]
+    assert all(isinstance(doc[key], float) and math.isfinite(doc[key])
+               for key in ("rho", "lambda"))
+    assert doc["cw_lower"] <= doc["rho"] <= doc["cw_upper"]
+    assert doc["certificate"]["gap"] <= 1e-10
 
 
 def test_eps_sweep_rising_rates_exit_3_with_an_error_document(capsys, tmp_path, monkeypatch):

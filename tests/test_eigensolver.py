@@ -251,6 +251,16 @@ def test_solve_stops_at_a_repeating_psi(seed):
     assert_array_equal(checkpoint.value.solution.psi, partial.psi)
 
 
+@pytest.mark.parametrize("seed", [8, 24, 113, 4_000_000_008])
+def test_solve_keeps_a_rho_past_1e154_finite(seed):
+    # the first bracket overlaps [1/2, 2], so the scale k stays 0 and the
+    # converged lo * hi overflows; rho used to come back as inf
+    sol = solve_eigen(fuzz_model(seed, "wide"))
+    assert sol.converged and 1e154 < sol.rho < math.inf
+    assert sol.cw_lower <= sol.rho <= sol.cw_upper
+    assert sol.log_rho == pytest.approx(math.log(sol.rho), rel=1e-15)
+
+
 def test_solve_rejects_nonpositive_fallback():
     with pytest.raises(ValueError, match="eps_fallback"):
         solve_eigen(fib_model(), eps_fallback=0.0)

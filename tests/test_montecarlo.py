@@ -224,6 +224,64 @@ def test_guide_table_draws_the_clamped_inverse_cdf_count(monkeypatch, buckets_pe
     assert_array_equal(table.draw(rows, u), want)
 
 
+def _assert_draws_match_the_inverse_cdf(table, probs: np.ndarray, points: np.ndarray):
+    points = points[(points >= 0.0) & (points < 1.0)]
+    cum = np.cumsum(probs, axis=1)
+    rows = np.repeat(np.arange(len(probs)), len(points))
+    u = np.tile(points, len(probs))
+    want = np.minimum((cum[rows] <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
+    assert_array_equal(table.draw(rows, u), want)
+
+
+def test_one_hot_and_dyadic_rows_build_no_split_bucket():
+    # every CDF entry of these rows lies on a bucket edge (K = 32 for width 4)
+    probs = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                      [0.125, 0.375, 0.25, 0.25], [0.5, 0.0, 0.5, 0.0], [0.0, 0.75, 0.0, 0.0]])
+    table = montecarlo._GuideTable(probs)
+    assert table.buckets == 32 and not table.split and not table.crowded
+    assert (table.guide >= 0).all()
+    cum = np.cumsum(probs, axis=1).ravel()
+    edges = np.arange(table.buckets) / table.buckets
+    _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(
+        [cum, np.nextafter(cum, 0.0), edges, np.nextafter(edges, 0.0),
+         np.random.default_rng(4).random(200)]))
+    # a deterministic policy's action table splits nothing either
+    model = mild_model(2)
+    policy = Policy.deterministic(np.arange(model.n_states) % model.n_actions, model.n_actions)
+    assert not montecarlo._tables(model, policy)[0].split
+
+
+def test_entry_on_an_interior_edge_draws_at_the_edge_and_one_ulp_below():
+    # cum = 0.25 (edge 8 of 32), 0.35 (inside bucket 11), 1.0
+    probs = np.array([[0.25, 0.1, 0.65]])
+    table = montecarlo._GuideTable(probs)
+    assert table.buckets == 32
+    assert table.guide[7] == 0 and table.guide[8] == 1  # no split on either side of the edge
+    assert table.guide[11] == ~1 and table.split and not table.crowded
+    edge = 0.25
+    assert_array_equal(table.draw(np.zeros(2, dtype=np.intp),
+                                  np.array([edge, np.nextafter(edge, 0.0)])), [1, 0])
+    _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(
+        [[edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 0.35,
+          np.nextafter(0.35, 0.0), 11 / 32, np.nextafter(12 / 32, 0.0)],
+         np.random.default_rng(6).random(200)]))
+
+
+def test_bucket_with_one_inner_entry_stores_its_left_count_and_a_crowded_one_a_marker():
+    # width 4, K = 32: 0.3 and 0.301 share bucket 9; 0.7 alone splits bucket 22
+    probs = np.array([[0.3, 0.001, 0.399, 0.3], [0.7, 0.2, 0.05, 0.05]])
+    table = montecarlo._GuideTable(probs)
+    assert table.buckets == 32 and table.split and table.crowded
+    assert table.guide[9] == ~3  # two entries inside: search the row
+    assert table.guide[22] == ~2  # one entry inside, two below its left edge
+    assert table.guide[32 + 22] == ~0  # 0.7 on the second row, none below
+    assert table.guide[32 + 28] == ~1  # 0.9 on the second row
+    cum = np.cumsum(probs, axis=1).ravel()
+    inside = (np.array([9, 22, 28, 30]) + np.random.default_rng(7).random((50, 1))) / 32
+    _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(
+        [cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), inside.ravel()]))
+
+
 def _assert_evolution_matches_reference(model: MdpModel, policy: Policy, x0: int,
                                         uniforms: np.ndarray):
     want = _reference_evolve(model, policy, x0, uniforms)
@@ -276,6 +334,16 @@ def test_evolution_matches_reference_on_bucket_edges_and_cdf_entries(monkeypatch
     uniforms = rng.choice(points, size=(4000, 9, 2))
     uniforms[::2, :, 1] = rng.random((2000, 9))  # mixed with draws off every edge
     for x0 in range(model.n_states):
+        _assert_evolution_matches_reference(model, policy, x0, uniforms)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_evolution_matches_reference_across_a_chunk_boundary(n):
+    # the uniforms are read _CHUNK_STEPS (8) steps at a time
+    assert montecarlo._CHUNK_STEPS == 8
+    model, policy = _edge_case_model()
+    uniforms = np.random.default_rng(n).random((500, n, 2))
+    for x0 in (0, 3):
         _assert_evolution_matches_reference(model, policy, x0, uniforms)
 
 
