@@ -262,6 +262,8 @@ def _cmd_variational(args) -> tuple[str, int]:
             "the epsilon-smoothed model instead"
         ) from exc
     except NoConvergence as exc:
+        if exc.certificate is None:  # nothing closed: the error document alone
+            raise
         cert = exc.certificate
         error = {"type": "NoConvergence", "message": str(exc)}
         code = 3

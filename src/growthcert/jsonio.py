@@ -16,7 +16,10 @@ its shape (``"%.17g"`` nested in ``"[...]"`` axis by axis, last axis first)
 is applied with ``%`` to its flattened elements.  ``%.17g`` and
 ``format(x, ".17g")`` use the same double formatter, so the bytes equal
 those of the per-element path, which every other array (non-finite, integer,
-boolean) and every list still takes.
+boolean) and every list still takes.  An entry that is exactly ``+0.0`` is
+written into the template as the literal ``0``, the bytes ``%.17g`` gives
+it, and is not formatted: most of a deterministic certificate's occupation
+measure is zeros.  ``-0.0`` still goes through ``%.17g``, as ``-0``.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import numpy as np
 from .errors import ParseError
 
 _INDENT = "  "
+_FLOAT = "%.17g"
+_CELLS = np.array([_FLOAT, "0"], dtype=object)  # a template cell by whether its entry is +0.0
 
 
 def format_float(x: float) -> str:
@@ -62,10 +67,30 @@ def _emit(value, depth: int) -> str:
         return "{\n" + items + "\n" + _INDENT * depth + "}"
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f" and np.isfinite(value).all():
-            template = "%.17g"
-            for size in reversed(value.shape):
-                template = "[" + ", ".join([template] * size) + "]"
-            return template % tuple(value.ravel().tolist())
+            flat = value.ravel()
+            zero = (flat == 0) & ~np.signbit(flat)
+            if not zero.any():
+                template = _FLOAT
+                for size in reversed(value.shape):
+                    template = "[" + ", ".join([template] * size) + "]"
+                return template % tuple(flat.tolist())
+            # the template is one join over shared strings: each entry's cell,
+            # and before it the separator that closes and opens the rows
+            # ending and starting there (per-row strings would be left as
+            # holes in the heap that the next model load cannot reuse)
+            ends = np.zeros(flat.size, dtype=np.intp)
+            stride = 1
+            for size in reversed(value.shape[1:]):
+                stride *= size
+                ends[::stride] += 1
+            ends[0] = -1  # the opening brackets
+            seps = np.array([", "] + ["]" * k + ", " + "[" * k for k in range(1, value.ndim)]
+                            + ["[" * value.ndim], dtype=object)
+            parts = np.empty(2 * flat.size + 1, dtype=object)
+            parts[:-1:2] = seps[ends]
+            parts[1::2] = _CELLS[zero.view(np.int8)]
+            parts[-1] = "]" * value.ndim
+            return "".join(parts.tolist()) % tuple(flat[~zero].tolist())
         return _emit(value.tolist(), depth)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_emit(v, depth) for v in value) + "]"

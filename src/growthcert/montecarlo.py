@@ -6,13 +6,17 @@ stream: results are bitwise identical for a given seed regardless of how
 the path loop is chunked or ordered.  Each block of paths draws through
 one ``Generator`` whose Philox bit generator is re-keyed per path, rather
 than constructing a ``Generator`` per path, from a state dict of plain
-ints.  Each step consumes two uniforms (action draw, next-state draw),
-read eight steps at a time through a contiguous copy and each looked up in
-a guide table (the indexed search of Chen & Asau, 1974) that returns the
+ints.  Each step of a stream holds two uniforms (action draw, next-state
+draw).  Under a randomized policy both are kept and each is looked up in a
+guide table (the indexed search of Chen & Asau, 1974) that returns the
 inverse-CDF draw bit for bit: a bucket holds its draw, or the count below
 the one CDF entry inside it, settled by one compare, and only a bucket
-with two or more entries inside searches its row.  The tables are built
-once per call.
+with two or more entries inside searches its row.  Under a deterministic
+policy the action is the policy's choice, so only the next-state uniforms
+are kept, copied out of a small scratch a few paths at a time, and looked
+up in a guide table on the chosen rows.  Either way they are read eight
+steps at a time through a contiguous copy.  The tables are built once per
+call.
 
 Path products are accumulated as sums of log weights, with ``-inf`` for a
 zero weight, so a path that hits a zero reward factor carries the
@@ -22,6 +26,7 @@ max-shifted sums, never producing a NaN.
 
 from __future__ import annotations
 
+import math
 import mmap
 import operator
 from dataclasses import dataclass
@@ -31,9 +36,12 @@ import numpy as np
 from .errors import DimensionMismatch
 from .model import MdpModel, Policy
 
-_BLOCK_UNIFORMS = 1 << 21  # uniforms per block of paths (16 MB of float64)
+# paths per block are _BLOCK_UNIFORMS // (2 n): 16 MB of float64 under a
+# randomized policy, 8 MB of kept next-state uniforms under a deterministic one
+_BLOCK_UNIFORMS = 1 << 21
 _BUCKETS_PER_ENTRY = 8  # guide-table buckets per CDF entry, rounded up to a power of two
-_CHUNK_STEPS = 8  # steps of uniforms copied at a time: 128 bytes per path
+_SCRATCH_UNIFORMS = 1 << 16  # uniforms drawn at a time for a deterministic policy (512 KB)
+_CHUNK_STEPS = 8  # steps of uniforms copied at a time: at most 128 bytes per path
 
 
 @dataclass(frozen=True)
@@ -145,26 +153,48 @@ class _GuideTable:
 
 
 def _tables(model: MdpModel, policy: Policy):
-    """The action and next-state guide tables and the flat log-weight table.
+    """The actions, the next-state guide table and the flat log-weight table.
 
-    ``log_w`` holds ``-inf`` for a zero weight, so a path that takes one
-    carries the minus-infinity marker to the end.
+    A deterministic policy's actions are its ``choices()``, and the other two
+    tables hold only the chosen ``(state, action)`` rows, indexed by state;
+    a randomized policy's actions are a guide table on ``phi``, and the
+    other two hold every row, indexed by ``state * a + action``.  ``log_w``
+    holds ``-inf`` for a zero weight, so a path that takes one carries the
+    minus-infinity marker to the end.
     """
-    w = model.weights.ravel()
+    kernel, w = model.kernel, model.weights
+    if policy.kind == "randomized":
+        actions = _GuideTable(policy.phi)
+    else:
+        actions = policy.choices()
+        states = np.arange(model.n_states)
+        kernel, w = kernel[states, actions], w[states, actions]
+    w = w.ravel()
     log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
-    return _GuideTable(policy.phi), _GuideTable(model.kernel), log_w
+    return actions, _GuideTable(kernel), log_w
+
+
+def _stored(tables, uniforms: np.ndarray) -> np.ndarray:
+    """The part of ``uniforms[paths, n, 2]`` that :func:`_evolve` reads under ``tables``.
+
+    Under a deterministic policy that is the next-state column only.
+    """
+    return uniforms[..., 1] if isinstance(tables[0], np.ndarray) else uniforms
 
 
 def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
     """Advance a block of paths; returns (log_products, states?, actions?).
 
-    The uniforms are read ``_CHUNK_STEPS`` steps at a time through a
-    contiguous copy (none when a path's row is no longer), so a step's draws
-    sit 128 bytes apart, not a path's row.
+    ``uniforms`` is what :func:`_stored` keeps: ``[paths, n]`` next-state
+    draws under a deterministic policy, ``[paths, n, 2]`` (action,
+    next-state) under a randomized one.  They are read ``_CHUNK_STEPS``
+    steps at a time through a contiguous copy (none when a path's row is no
+    longer), so a step's draws sit at most 128 bytes apart, not a path's row.
     """
     actions_of, next_of, log_w = tables
-    a, s = actions_of.width, next_of.width
-    b, n, _ = uniforms.shape
+    fixed = isinstance(actions_of, np.ndarray)
+    s = next_of.width
+    b, n = uniforms.shape[:2]
     xs = np.full(b, x0, dtype=int)
     logs = np.zeros(b)
     states = np.empty((b, n + 1), dtype=int) if record else None
@@ -174,12 +204,16 @@ def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
     for start in range(0, n, _CHUNK_STEPS):
         chunk = np.ascontiguousarray(uniforms[:, start:start + _CHUNK_STEPS])
         for m in range(chunk.shape[1]):
-            us = actions_of.draw(xs, chunk[:, m, 0])
-            rows = xs * a + us
-            ys = next_of.draw(rows, chunk[:, m, 1])
+            if fixed:
+                rows = xs
+                ys = next_of.draw(rows, chunk[:, m])
+            else:
+                us = actions_of.draw(xs, chunk[:, m, 0])
+                rows = xs * actions_of.width + us
+                ys = next_of.draw(rows, chunk[:, m, 1])
             logs += log_w[rows * s + ys]
             if record:
-                actions[:, start + m] = us
+                actions[:, start + m] = actions_of[xs] if fixed else us
                 states[:, start + m + 1] = ys
             xs = ys
     return logs, states, actions
@@ -210,8 +244,9 @@ def simulate(model: MdpModel, policy: Policy, n: int, x0: int = 0, seed: int = 0
     minus-infinity marker if any visited transition carries a zero factor.
     """
     _check_common(model, policy, n, x0, seed)
+    tables = _tables(model, policy)
     logs, states, actions = _evolve(
-        _tables(model, policy), x0, _path_uniforms(seed, 0, 1, n), record=True
+        tables, x0, _stored(tables, _path_uniforms(seed, 0, 1, n)), record=True
     )
     return states[0], actions[0], float(logs[0])
 
@@ -229,11 +264,23 @@ def sample_log_products(model: MdpModel, policy: Policy, n: int, paths: int,
     # ends: on the malloc heap a freed block stays resident, and whether the
     # next one fits its hole or grows the heap by a block more hangs on the
     # heap's layout (the same benchmark run peaked at 59 or 73 MB by it)
-    uniforms = np.frombuffer(mmap.mmap(-1, block * n * 16)).reshape(block, n, 2)
+    fixed = isinstance(tables[0], np.ndarray)
+    shape = (block, n) if fixed else (block, n, 2)
+    uniforms = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    # a deterministic policy's streams are drawn a few paths at a time into a
+    # scratch, and only their next-state column is copied into the block
+    sub = min(block, max(1, _SCRATCH_UNIFORMS // (2 * n)))
+    scratch = np.empty((sub, n, 2)) if fixed else None
     for start in range(0, paths, block):
         count = min(block, paths - start)
-        logs, _, _ = _evolve(tables, x0, _path_uniforms(seed, start, count, n, uniforms[:count]))
-        out[start:start + count] = logs
+        if fixed:
+            for first in range(0, count, sub):
+                k = min(sub, count - first)
+                _path_uniforms(seed, start + first, k, n, scratch[:k])
+                uniforms[first:first + k] = _stored(tables, scratch[:k])
+        else:
+            _path_uniforms(seed, start, count, n, uniforms[:count])
+        out[start:start + count] = _evolve(tables, x0, uniforms[:count])[0]
     return out
 
 

@@ -289,8 +289,10 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
     ``iters`` Newton steps (each Newton system solved counts one) run out
     first, or when a Newton system is singular in floating point (its solve
     fails or gives a non-finite step) and the certificate closed at that
-    ``g`` is still too wide.  A non-finite or non-positive ``tol``, or
-    ``iters`` below 1, is a ``ValueError``.
+    ``g`` is still too wide.  A closure whose stationary solve fails (a
+    nearly decomposable chain) raises :class:`NoConvergence` too, carrying
+    the last certificate closed before it, or none.  A non-finite or
+    non-positive ``tol``, or ``iters`` below 1, is a ``ValueError``.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError("tol must be finite and > 0")
@@ -305,7 +307,7 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
     log_gain = np.log(model.gain)
     s = model.n_states
     g = np.zeros(s)
-    tau, used = 1.0, 0
+    tau, used, cert = 1.0, 0, None
     while True:
         f, L, w, q = _smoothed_dual(log_gain, g, tau)
         flow = np.einsum("xu,xuy->xy", w, q)
@@ -339,7 +341,14 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
         # (L - max) / tau may overflow to -inf, whose exp, 0, is the limit
         with np.errstate(over="ignore"):
             phi = np.exp((L - L.max(axis=1, keepdims=True)) / tau)
-        eta = _stationary_measure(phi / phi.sum(axis=1, keepdims=True), q)
+        try:
+            eta = _stationary_measure(phi / phi.sum(axis=1, keepdims=True), q)
+        except SingularChain as exc:  # a valid model: the closure failed, not the input
+            raise NoConvergence(
+                f"smoothed-dual Newton could not close a certificate: {exc}",
+                iterations=used,
+                certificate=cert,
+            ) from exc
         value = objective_psi0(model, eta)
         dual = dual_bound(model, g)
         cert = Certificate(primal_lower=value, dual_upper=dual, gap=dual - value, eta=eta, g=g)

@@ -301,6 +301,7 @@ def test_fuzz_draw_exits_3_with_one_document_and_no_stderr(capsys, tmp_path, com
 @example(seed=1026)
 @example(seed=79_256)  # variational: (L - max) / tau overflowed in the action law
 @example(seed=4_000_000_008)  # variational: 1 / tau overflowed in the Newton system
+@example(seed=5)  # variational: a near-decomposable closure exited 2 (SingularChain)
 @example(seed=8)  # solve: rho past 1e154 overflowed to inf (as did 24, 113, 4_000_000_008)
 @example(seed=24)
 @example(seed=113)
@@ -312,8 +313,9 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
     # every call ends in a certified answer or a typed error: exit 0, 2 or 3
     # with one JSON document, no NaN and nothing on stderr (warnings are errors);
     # a converged solve has a finite rho and lambda, and none fails its own
-    # eigensolution check; the seed draws the sizes (2..6 states, 1..3 actions)
-    # and the entries
+    # eigensolution check; variational never calls a valid model's failed
+    # closure a validation error; the seed draws the sizes (2..6 states,
+    # 1..3 actions) and the entries
     def no_nan(constant):
         raise AssertionError(f"{constant} in the document")
 
@@ -335,6 +337,29 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
             if doc.get("converged"):
                 assert all(isinstance(doc[key], float) and math.isfinite(doc[key])
                            for key in ("rho", "lambda")), doc
+        if argv[0] == "variational":
+            assert doc.get("error", {}).get("type") != "SingularChain", doc
+
+
+@pytest.mark.parametrize("family, seed, closed", [("near-decomposable", 5, True),
+                                                 ("near-decomposable", 6, True),
+                                                 ("wide", 11, False)])
+def test_variational_closure_with_a_failed_stationary_solve_exits_3(capsys, tmp_path, family,
+                                                                     seed, closed):
+    # the closure's stationary solve raised SingularChain, which exited 2 on a valid model;
+    # with no certificate closed before it, the document is the error alone
+    path = str(tmp_path / "model.json")
+    save_model(fuzz_model(seed, family), path)
+    code = run(["variational", path])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 3 and captured.err == ""
+    assert doc["error"]["type"] == "NoConvergence"
+    assert "could not close a certificate" in doc["error"]["message"]
+    if closed:
+        assert doc["gap"] > 0 and doc["value"] <= doc["dual_upper"]
+    else:
+        assert list(doc) == ["error"]
 
 
 @pytest.mark.parametrize("seed", [3, 10, 55])

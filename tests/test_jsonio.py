@@ -87,3 +87,28 @@ def test_zero_dimensional_arrays():
     doc = {"f": np.array(0.5), "i": np.array(3), "b": np.array(True),
            "inf": np.array(-np.inf, dtype=np.float32)}
     assert jsonio.dumps(doc) == '{\n  "f": 0.5,\n  "i": 3,\n  "b": true,\n  "inf": "-inf"\n}\n'
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(), (1,), (6,), (3, 0), (5, 3), (4, 2, 4), (200, 8, 200)],
+                         ids=str)
+def test_arrays_of_signed_zeros_match_reference(shape, dtype):
+    # +0.0 is written into the template as 0; -0.0 is still formatted, as -0
+    rng = np.random.default_rng(len(shape))
+    values = rng.standard_normal(shape)
+    values[rng.random(shape) < 0.8] = 0.0
+    values[rng.random(shape) < 0.1] = -0.0
+    values = values.astype(dtype)
+    _assert_matches(values)
+    _assert_matches(np.zeros(shape, dtype))
+    _assert_matches(-np.zeros(shape, dtype))
+    assert jsonio.dumps(np.array([0.0, -0.0, 0.5, 0.0], dtype)) == "[0, -0, 0.5, 0]\n"
+
+
+def test_deterministic_occupation_measure_matches_reference():
+    # one chosen action per state: (a - 1) / a of the entries are +0.0
+    rng = np.random.default_rng(9)
+    eta = np.zeros((200, 8, 200))
+    eta[np.arange(200), rng.integers(8, size=200)] = rng.random((200, 200))
+    _assert_matches(eta)
+    _assert_matches(eta.transpose(2, 0, 1))

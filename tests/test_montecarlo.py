@@ -245,10 +245,10 @@ def test_one_hot_and_dyadic_rows_build_no_split_bucket():
     _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(
         [cum, np.nextafter(cum, 0.0), edges, np.nextafter(edges, 0.0),
          np.random.default_rng(4).random(200)]))
-    # a deterministic policy's action table splits nothing either
+    # a deterministic policy's rows split nothing either
     model = mild_model(2)
     policy = Policy.deterministic(np.arange(model.n_states) % model.n_actions, model.n_actions)
-    assert not montecarlo._tables(model, policy)[0].split
+    assert not montecarlo._GuideTable(policy.phi).split
 
 
 def test_entry_on_an_interior_edge_draws_at_the_edge_and_one_ulp_below():
@@ -286,8 +286,10 @@ def _assert_evolution_matches_reference(model: MdpModel, policy: Policy, x0: int
                                         uniforms: np.ndarray):
     want = _reference_evolve(model, policy, x0, uniforms)
     tables = montecarlo._tables(model, policy)
-    logs, _, _ = montecarlo._evolve(tables, x0, uniforms)
-    got = montecarlo._evolve(tables, x0, uniforms, record=True)
+    stored = montecarlo._stored(tables, uniforms)  # the columns the sampler keeps
+    assert stored.ndim == (2 if policy.kind == "deterministic" else 3)
+    logs, _, _ = montecarlo._evolve(tables, x0, stored)
+    got = montecarlo._evolve(tables, x0, stored, record=True)
     assert_array_equal(logs.view(np.uint64), want[0].view(np.uint64))
     assert_array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
     assert_array_equal(got[1], want[1])
@@ -362,6 +364,53 @@ def test_evolution_matches_reference_on_a_crowded_bucket(big_first):
     crowd = rng.random((2000, 6)) * 199e-7
     uniforms[:2000, :, 1] = 1.0 - crowd if big_first else crowd
     _assert_evolution_matches_reference(model, policy, 0, uniforms)
+
+
+def _deterministic_edge_case() -> tuple[MdpModel, Policy]:
+    model, _ = _edge_case_model()
+    # one-hot, short, dying and dyadic chosen rows
+    return model, Policy.deterministic([1, 0, 1, 1, 2], model.n_actions)
+
+
+@pytest.mark.parametrize("per_block, per_scratch", [(5, 2), (7, 3), (None, 4), (None, None)])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 200])
+def test_deterministic_sampler_draws_next_states_in_sub_blocks_bit_for_bit(
+        monkeypatch, n, per_block, per_scratch):
+    # 37 paths: blocks of 5 or 7 paths end short, and so do scratch fills of 2, 3 or 4
+    model, policy = _deterministic_edge_case()
+    paths, seed, x0 = 37, 12, 3
+    want, _, _ = _reference_evolve(model, policy, x0, _reference_uniforms(seed, 0, paths, n))
+    if per_block:
+        monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", per_block * 2 * n)
+    if per_scratch:
+        monkeypatch.setattr(montecarlo, "_SCRATCH_UNIFORMS", per_scratch * 2 * n)
+    got = sample_log_products(model, policy, n=n, paths=paths, x0=x0, seed=seed)
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_deterministic_simulate_records_the_chosen_actions():
+    model, policy = _deterministic_edge_case()
+    states, actions, log_product = simulate(model, policy, n=300, x0=1, seed=7)
+    assert_array_equal(actions, policy.choices()[states[:-1]])
+    want = _reference_evolve(model, policy, 1, _reference_uniforms(7, 0, 1, 300))
+    assert_array_equal(states, want[1][0])
+    assert np.float64(log_product).view(np.uint64) == want[0].view(np.uint64)[0]
+
+
+def test_deterministic_sampler_maps_half_the_bytes_of_a_randomized_one(monkeypatch):
+    sizes = []
+    real = montecarlo.mmap.mmap
+
+    def recording(fileno, length):
+        sizes.append(length)
+        return real(fileno, length)
+
+    monkeypatch.setattr(montecarlo.mmap, "mmap", recording)
+    model, deterministic = _deterministic_edge_case()
+    randomized = Policy.uniform(model.n_states, model.n_actions)
+    for policy in (deterministic, randomized):
+        sample_log_products(model, policy, n=200, paths=6000, seed=1)
+    assert sizes == [5242 * 200 * 8, 5242 * 200 * 16]
 
 
 def test_estimate_constant_chain_recovers_rate_exactly():

@@ -473,6 +473,23 @@ def test_maximize_types_a_newton_system_whose_scale_overflows(seed):
     assert exc_info.value.certificate.gap > 1e-6
 
 
+@pytest.mark.parametrize("family, seed", [("near-decomposable", 5), ("near-decomposable", 6),
+                                          ("wide", 11)])
+def test_maximize_types_a_closure_whose_stationary_solve_fails(family, seed):
+    # the closed chain is nearly decomposable, and its stationary solve raised
+    # SingularChain; the last certificate closed before it, if any, is carried
+    model = fuzz_model(seed, family)
+    with pytest.raises(NoConvergence, match="could not close a certificate") as exc_info:
+        maximize(model)
+    assert isinstance(exc_info.value.__cause__, SingularChain)
+    cert = exc_info.value.certificate
+    if family == "wide":
+        assert cert is None
+    else:
+        assert cert.gap > 1e-6
+        assert cert.primal_lower <= solve_eigen(model).log_rho <= cert.dual_upper
+
+
 def test_sweep_grid_must_decrease():
     with pytest.raises(ValueError, match="decreasing"):
         epsilon_sweep(_singleton(1.0), [0.01, 0.1])
