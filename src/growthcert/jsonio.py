@@ -11,15 +11,16 @@ NaN is rejected outright -- nothing in this package is allowed to produce
 one -- and infinities are emitted as the JSON strings ``"inf"`` / ``"-inf"``
 since JSON has no number literal for them.
 
-A finite float ndarray is rendered in one step: a printf template built from
-its shape (``"%.17g"`` nested in ``"[...]"`` axis by axis, last axis first)
-is applied with ``%`` to its flattened elements.  ``%.17g`` and
-``format(x, ".17g")`` use the same double formatter, so the bytes equal
-those of the per-element path, which every other array (non-finite, integer,
-boolean) and every list still takes.  An entry that is exactly ``+0.0`` is
-written into the template as the literal ``0``, the bytes ``%.17g`` gives
-it, and is not formatted: most of a deterministic certificate's occupation
-measure is zeros.  ``-0.0`` still goes through ``%.17g``, as ``-0``.
+A non-empty finite float ndarray is rendered in one step: a printf template
+built from its shape (a ``"%.17g"`` cell per entry, nested in ``"[...]"``
+axis by axis) is applied with ``%`` to its flattened elements.  ``%.17g``
+and ``format(x, ".17g")`` use the same double formatter, so the bytes equal
+those of the per-element path, which every other array (empty, non-finite,
+integer, boolean) and every list still takes.  An entry that is exactly
+``+0.0`` is written into the template as the literal ``0``, the bytes
+``%.17g`` gives it, and is not formatted: most of a deterministic
+certificate's occupation measure is zeros.  ``-0.0`` still goes through
+``%.17g``, as ``-0``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ import numpy as np
 from .errors import ParseError
 
 _INDENT = "  "
-_FLOAT = "%.17g"
-_CELLS = np.array([_FLOAT, "0"], dtype=object)  # a template cell by whether its entry is +0.0
+_CELLS = np.array(["%.17g", "0"], dtype=object)  # a template cell by whether its entry is +0.0
 
 
 def format_float(x: float) -> str:
@@ -66,14 +66,9 @@ def _emit(value, depth: int) -> str:
         )
         return "{\n" + items + "\n" + _INDENT * depth + "}"
     if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and np.isfinite(value).all():
+        if value.dtype.kind == "f" and value.size and np.isfinite(value).all():
             flat = value.ravel()
             zero = (flat == 0) & ~np.signbit(flat)
-            if not zero.any():
-                template = _FLOAT
-                for size in reversed(value.shape):
-                    template = "[" + ", ".join([template] * size) + "]"
-                return template % tuple(flat.tolist())
             # the template is one join over shared strings: each entry's cell,
             # and before it the separator that closes and opens the rows
             # ending and starting there (per-row strings would be left as

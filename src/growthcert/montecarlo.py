@@ -177,7 +177,8 @@ def _tables(model: MdpModel, policy: Policy):
 def _stored(tables, uniforms: np.ndarray) -> np.ndarray:
     """The part of ``uniforms[paths, n, 2]`` that :func:`_evolve` reads under ``tables``.
 
-    Under a deterministic policy that is the next-state column only.
+    Under a deterministic policy that is the next-state column only; this
+    is the one place that reads the layout :func:`_tables` chose.
     """
     return uniforms[..., 1] if isinstance(tables[0], np.ndarray) else uniforms
 
@@ -192,7 +193,7 @@ def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
     longer), so a step's draws sit at most 128 bytes apart, not a path's row.
     """
     actions_of, next_of, log_w = tables
-    fixed = isinstance(actions_of, np.ndarray)
+    fixed = uniforms.ndim == 2  # next-state draws only: the actions are the policy's choices
     s = next_of.width
     b, n = uniforms.shape[:2]
     xs = np.full(b, x0, dtype=int)
@@ -264,22 +265,23 @@ def sample_log_products(model: MdpModel, policy: Policy, n: int, paths: int,
     # ends: on the malloc heap a freed block stays resident, and whether the
     # next one fits its hole or grows the heap by a block more hangs on the
     # heap's layout (the same benchmark run peaked at 59 or 73 MB by it)
-    fixed = isinstance(tables[0], np.ndarray)
-    shape = (block, n) if fixed else (block, n, 2)
+    shape = (block,) + _stored(tables, np.empty((0, n, 2))).shape[1:]
     uniforms = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-    # a deterministic policy's streams are drawn a few paths at a time into a
-    # scratch, and only their next-state column is copied into the block
+    # streams whose draws are all stored are drawn straight into the block;
+    # others are drawn a few paths at a time into a scratch, and the stored
+    # columns copied into the block
+    whole = shape[1:] == (n, 2)
     sub = min(block, max(1, _SCRATCH_UNIFORMS // (2 * n)))
-    scratch = np.empty((sub, n, 2)) if fixed else None
+    scratch = None if whole else np.empty((sub, n, 2))
     for start in range(0, paths, block):
         count = min(block, paths - start)
-        if fixed:
+        if whole:
+            _path_uniforms(seed, start, count, n, uniforms[:count])
+        else:
             for first in range(0, count, sub):
                 k = min(sub, count - first)
                 _path_uniforms(seed, start + first, k, n, scratch[:k])
                 uniforms[first:first + k] = _stored(tables, scratch[:k])
-        else:
-            _path_uniforms(seed, start, count, n, uniforms[:count])
         out[start:start + count] = _evolve(tables, x0, uniforms[:count])[0]
     return out
 
