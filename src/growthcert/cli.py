@@ -22,6 +22,7 @@ from .eigensolver import cw_bounds, epsilon_sweep, solve_eigen
 from .errors import GrowthcertError, NoConvergence, SchemaError, ZeroGainRow
 from .model import (
     Policy,
+    _number_array,
     gen_exit_model,
     gen_graph_model,
     gen_portfolio_model,
@@ -155,25 +156,18 @@ def _parse_indices(text: str) -> list[int]:
         raise SchemaError(f"cannot parse indices {text!r}: {exc}") from exc
 
 
-def _float_array(value, path, what: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: {what} must be a rectangular array of numbers: {exc}") from exc
-
-
 def _load_vector(path) -> np.ndarray:
     doc = jsonio.load(path, "vector file")
     if not isinstance(doc, list):
         raise SchemaError(f"{path}: vector file must be a JSON array")
-    return _float_array(doc, path, "vector")
+    return _number_array(doc, f"{path}: vector")
 
 
 def _load_policy(path) -> Policy:
     doc = jsonio.load(path, "policy file")
     if not isinstance(doc, dict) or "phi" not in doc:
         raise SchemaError(f"{path}: policy file must be an object with field 'phi'")
-    return Policy(_float_array(doc["phi"], path, "'phi'"))
+    return Policy(_number_array(doc["phi"], f"{path}: 'phi'"))
 
 
 def _policy_doc(policy: Policy) -> dict:

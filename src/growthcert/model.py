@@ -47,6 +47,21 @@ ROW_SUM_RENORM = 1e-6
 _MODEL_FIELDS = ("states", "actions", "kernel", "weights", "metadata")
 
 
+def _number_array(value, what: str) -> np.ndarray:
+    """``value`` parsed from JSON as a float array, or a SchemaError naming ``what``.
+
+    The dtype is inferred first and must be numeric: under ``dtype=float``
+    numpy would parse a string such as ``"0.5"``.
+    """
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what} must be a rectangular array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "fiu":
+        raise SchemaError(f"{what} must be a rectangular array of numbers, not of {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """Checked float copy of ``value``; the model never shares the caller's memory."""
     arr = np.array(value, dtype=float)
@@ -204,8 +219,13 @@ class Policy:
 
     @classmethod
     def deterministic(cls, choices: Sequence[int], n_actions: int) -> "Policy":
-        phi = np.zeros((len(choices), n_actions))
-        phi[np.arange(len(choices)), list(choices)] = 1.0
+        """Take action ``choices[x]`` in state ``x``; each choice is an action index."""
+        picks = np.asarray(choices)
+        indices = picks.ndim == 1 and picks.dtype.kind in "iu"
+        if not indices or np.any((picks < 0) | (picks >= n_actions)):
+            raise SchemaError(f"choices must be integers in 0..{n_actions - 1}, got {choices!r}")
+        phi = np.zeros((len(picks), n_actions))
+        phi[np.arange(len(picks)), picks] = 1.0
         return cls(phi)
 
     @classmethod
@@ -495,10 +515,7 @@ def load_model(path) -> MdpModel:
         raise SchemaError(f"{path}: 'metadata' must be a string")
     tensors = {}
     for name in ("kernel", "weights"):
-        try:
-            tensors[name] = np.asarray(doc[name], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: '{name}' must be a numeric tensor") from exc
+        tensors[name] = _number_array(doc[name], f"{path}: '{name}'")
         if tensors[name].ndim != 3:
             raise SchemaError(f"{path}: '{name}' must be a rank-3 tensor")
     return MdpModel(states=tuple(doc["states"]), actions=tuple(doc["actions"]),

@@ -9,14 +9,16 @@ than constructing a ``Generator`` per path, from a state dict of plain
 ints.  Each step of a stream holds two uniforms (action draw, next-state
 draw).  Under a randomized policy both are kept and each is looked up in a
 guide table (the indexed search of Chen & Asau, 1974) that returns the
-inverse-CDF draw bit for bit: a bucket holds its draw, or the count below
-the one CDF entry inside it, settled by one compare, and only a bucket
-with two or more entries inside searches its row.  Under a deterministic
-policy the action is the policy's choice, so only the next-state uniforms
-are kept, copied out of a small scratch a few paths at a time, and looked
-up in a guide table on the chosen rows.  Either way they are read eight
-steps at a time through a contiguous copy.  The tables are built once per
-call.
+inverse-CDF draw bit for bit: a bucket holds its count at its left edge,
+and one compare against the next CDF entry settles the draw; only a
+bucket with two or more entries inside searches its row.  Under a
+deterministic policy the action is the policy's choice, so only the
+next-state uniforms are kept, copied out of a small scratch a few paths at
+a time, and looked up in a guide table on the chosen rows.  Either way
+they are read eight steps at a time through a step-major copy, so each
+step's draws are contiguous.  The paths are split into the fewest blocks
+whose streams hold at most ``_BLOCK_UNIFORMS`` uniforms, all of one size.
+The tables are built once per call.
 
 Path products are accumulated as sums of log weights, with ``-inf`` for a
 zero weight, so a path that hits a zero reward factor carries the
@@ -36,12 +38,13 @@ import numpy as np
 from .errors import DimensionMismatch
 from .model import MdpModel, Policy
 
-# paths per block are _BLOCK_UNIFORMS // (2 n): 16 MB of float64 under a
-# randomized policy, 8 MB of kept next-state uniforms under a deterministic one
-_BLOCK_UNIFORMS = 1 << 21
+# paths per block are at most _BLOCK_UNIFORMS // (2 n), spread evenly over the
+# fewest blocks: at most 8 MB of float64 under a randomized policy, 4 MB of kept
+# next-state uniforms under a deterministic one
+_BLOCK_UNIFORMS = 1 << 20
 _BUCKETS_PER_ENTRY = 8  # guide-table buckets per CDF entry, rounded up to a power of two
 _SCRATCH_UNIFORMS = 1 << 16  # uniforms drawn at a time for a deterministic policy (512 KB)
-_CHUNK_STEPS = 8  # steps of uniforms copied at a time: at most 128 bytes per path
+_CHUNK_STEPS = 8  # steps of uniforms copied step-major at a time: at most 128 bytes per path
 
 
 @dataclass(frozen=True)
@@ -92,64 +95,64 @@ class _GuideTable:
     """Inverse-CDF draws on the rows of ``probs`` through a guide table.
 
     The indexed search of Chen & Asau (AIIE Trans. 6, 1974; Devroye 1986,
-    ch. III).  With ``cum`` the row-wise cumulative sums, bucket ``j`` of row
-    ``r`` holds the draw ``min((cum[r] <= u).sum(), width - 1)`` shared by
-    every ``u`` in ``[j/K, (j+1)/K)``.  A CDF entry below the last one splits
-    that bucket when it lies inside it; one on the bucket's right edge does
-    not, since every ``u`` of the bucket is below it.  A bucket split by one
-    entry holds ``~lo``, with ``lo`` its count at the left edge, and settles
-    a draw with one compare, ``lo + (u >= cum[r, lo])``; a bucket split by
-    two or more holds ``~(width - 1)`` and searches its row.  With ``K`` a
-    power of two, ``floor(u K)`` is exact, so every draw equals the plain
-    inverse-CDF count bit for bit.  A uniform draw lands in a split bucket
-    with probability below ``width / K``, and one-hot or dyadic rows split
-    none.  Buckets take the smallest signed type that holds them (int8 or
-    int16 below 32,768 columns), so a kernel's guide is at most four times
-    the kernel's size, and its search keys twice.
+    ch. III).  The draw of ``u`` on row ``r`` is the clamped count
+    ``min((cum[r] <= u).sum(), width - 1)`` of the row-wise cumulative sums
+    ``cum``, which counts only the entries below the last one.  Bucket ``j``
+    of row ``r`` covers ``[j/K, (j+1)/K)`` and holds its left count ``lo``,
+    the number of those entries at or below ``j/K``.  The table keeps
+    ``cum`` with its last column set to 2, above every ``u``, and settles a
+    draw with one compare, ``lo + (u >= cum[r, lo])``: entry ``lo`` lies
+    past the left edge, so it is the one entry that can lie inside the
+    bucket, and when it does not, it lies at or beyond the right edge (or
+    is the stored 2) and the compare adds nothing.  Only a bucket with two
+    or more entries inside is crowded: it holds the marker -1 and searches
+    its row.  With ``K`` a power of two, ``floor(u K)`` and ``c K`` are
+    exact, so every draw equals the plain inverse-CDF count bit for bit.  A
+    uniform draw lands in a crowded bucket with probability below
+    ``width / (2 K)``, and one-hot or dyadic rows crowd none.  Buckets take
+    the smallest signed type that holds them (int8 or int16 below 32,768
+    columns), so a kernel's guide is at most four times the kernel's size,
+    and its search keys twice.
     """
 
     def __init__(self, probs: np.ndarray):
         self.width = width = probs.shape[-1]
         cum = np.cumsum(probs, axis=-1).reshape(-1, width)
+        self.buckets = k = 1 << (_BUCKETS_PER_ENTRY * width - 1).bit_length()
+        # an entry c below the last one lies at or below edge j/K exactly when j >= ceil(c K)
+        first = np.ceil(cum[:, :-1] * k)
+        runs = np.diff(np.minimum(first, k).astype(np.intp), prepend=0, append=k)
+        counts = np.arange(width, dtype=np.min_scalar_type(-width))
+        self.guide = np.repeat(np.tile(counts, len(cum)), runs.ravel())
+        # two entries share a bucket, the later one short of its right edge: it is crowded
+        r, i = np.nonzero((first[:, 1:] == first[:, :-1]) & (first[:, 1:] <= k)
+                          & (cum[:, 1:-1] * k < first[:, 1:]))
+        self.guide[r * k + first[r, i + 1].astype(np.intp) - 1] = -1
+        self.crowded = r.size > 0
+        cum[:, -1] = 2.0
         self.cum = cum.ravel()
         # the rows as one increasing array: numpy orders complex numbers by
         # real part, then imaginary part, so row r's keys are r + 1j cum[r]
         self.keys = (np.arange(len(cum))[:, None] + 1j * cum).ravel()
-        self.buckets = k = 1 << (_BUCKETS_PER_ENTRY * width - 1).bit_length()
-        # a CDF entry c counts from edge first on: c <= j/K exactly when j >= first
-        edges = np.arange(k + 1) / k
-        first = np.searchsorted(edges, cum)
-        # bucket j holds the clamped count at its left edge j/K ...
-        draws = np.minimum(np.arange(width + 1), width - 1).astype(np.min_scalar_type(-width))
-        runs = np.diff(np.minimum(first, k), prepend=0, append=k)
-        self.guide = np.repeat(np.tile(draws, len(first)), runs.ravel())
-        # ... unless an entry below the last one lies inside it, short of its right edge
-        inner = first[:, :-1]
-        r, i = np.nonzero((inner > 0) & (inner <= k)
-                          & (cum[:, :-1] < edges[np.minimum(inner, k)]))
-        cells = r * k + inner[r, i] - 1
-        self.guide[cells] = ~i  # i entries lie at or below the left edge
-        cells, splits = np.unique(cells, return_counts=True)
-        self.guide[cells[splits > 1]] = ~(width - 1)
-        self.split, self.crowded = cells.size > 0, bool((splits > 1).any())
 
-    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The inverse-CDF draw of ``u`` on each of ``rows``."""
+    def index(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``rows * width + draw``: the flat index of each row's inverse-CDF draw of ``u``.
+
+        That is the draw's entry in ``cum`` and in any table laid out row by
+        row like it, such as the rows of the next table down.
+        """
         cell = (u * self.buckets).astype(np.intp)
         cell += rows * self.buckets
-        out = self.guide[cell].astype(np.intp)
-        if not self.split:
-            return out
-        split = np.flatnonzero(out < 0)
-        if split.size:
-            r, v, lo = rows[split], u[split], ~out[split]
-            out[split] = lo + (v >= self.cum[r * self.width + lo])
-            if self.crowded:
-                search = lo == self.width - 1
-                r, v, split = r[search], v[search], split[search]
-                count = np.searchsorted(self.keys, r + 1j * v, side="right") - r * self.width
-                out[split] = np.minimum(count, self.width - 1)
-        return out
+        lo = self.guide[cell]
+        at = rows * self.width
+        at += lo
+        if self.crowded:
+            search = np.flatnonzero(lo < 0)
+            if search.size:  # the keys at or below r + 1j u count r * width + the draw
+                at[search] = np.searchsorted(self.keys, rows[search] + 1j * u[search],
+                                             side="right")
+        at += u >= self.cum[at]
+        return at
 
 
 def _tables(model: MdpModel, policy: Policy):
@@ -189,8 +192,8 @@ def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
     ``uniforms`` is what :func:`_stored` keeps: ``[paths, n]`` next-state
     draws under a deterministic policy, ``[paths, n, 2]`` (action,
     next-state) under a randomized one.  They are read ``_CHUNK_STEPS``
-    steps at a time through a contiguous copy (none when a path's row is no
-    longer), so a step's draws sit at most 128 bytes apart, not a path's row.
+    steps at a time through a step-major copy ``[steps, paths(, 2)]``, so
+    each step's draws are contiguous.
     """
     actions_of, next_of, log_w = tables
     fixed = uniforms.ndim == 2  # next-state draws only: the actions are the policy's choices
@@ -203,18 +206,16 @@ def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
     if record:
         states[:, 0] = xs
     for start in range(0, n, _CHUNK_STEPS):
-        chunk = np.ascontiguousarray(uniforms[:, start:start + _CHUNK_STEPS])
-        for m in range(chunk.shape[1]):
-            if fixed:
-                rows = xs
-                ys = next_of.draw(rows, chunk[:, m])
-            else:
-                us = actions_of.draw(xs, chunk[:, m, 0])
-                rows = xs * actions_of.width + us
-                ys = next_of.draw(rows, chunk[:, m, 1])
-            logs += log_w[rows * s + ys]
+        chunk = np.ascontiguousarray(uniforms[:, start:start + _CHUNK_STEPS].swapaxes(0, 1))
+        for m, step in enumerate(chunk):
+            # a row of the next-state table (the state, or state * a + action),
+            # then its flat index row * s + next state, which indexes log_w too
+            rows = xs if fixed else actions_of.index(xs, step[:, 0])
+            flat = next_of.index(rows, step if fixed else step[:, 1])
+            logs += log_w[flat]
+            ys = flat - rows * s
             if record:
-                actions[:, start + m] = actions_of[xs] if fixed else us
+                actions[:, start + m] = actions_of[xs] if fixed else rows - xs * actions_of.width
                 states[:, start + m + 1] = ys
             xs = ys
     return logs, states, actions
@@ -260,7 +261,10 @@ def sample_log_products(model: MdpModel, policy: Policy, n: int, paths: int,
         raise ValueError("paths must be >= 1")
     out = np.empty(paths)
     tables = _tables(model, policy)
-    block = min(paths, max(1, _BLOCK_UNIFORMS // (2 * n)))
+    # the fewest blocks of at most `most` paths, all of one size (the last
+    # short by less than the count of blocks), so none is larger than it needs
+    most = max(1, _BLOCK_UNIFORMS // (2 * n))
+    block = -(-paths // -(-paths // most))
     # the call's blocks share one anonymous mapping, unmapped when the call
     # ends: on the malloc heap a freed block stays resident, and whether the
     # next one fits its hole or grows the heap by a block more hangs on the

@@ -226,6 +226,11 @@ def test_mc_policy_shape_mismatch_exits_2_typed(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command, text, expected", [
+    # numbers written as JSON strings: numpy parses "1.0" under dtype=float
+    ("validate", '{"states": ["a"], "actions": ["u"], "kernel": [[["1.0"]]], '
+                 '"weights": [[[1.0]]]}', "SchemaError"),
+    ("mc", '{"phi": [["1.0"], [1.0]]}', "SchemaError"),
+    ("bounds", '["1.0", 1.0]', "SchemaError"),
     ("mc", '{"phi": [[1.0], [1.0, 0.0]]}', "SchemaError"),
     ("mc", '{"phi": [["a"], [1.0]]}', "SchemaError"),
     ("mc", '{"phi": [{"x": 1}, [1.0]]}', "SchemaError"),
@@ -248,14 +253,17 @@ def test_malformed_reader_input_exits_2_typed(capsys, tmp_path, command, text, e
                 "--paths", "40"]
     elif command == "bounds":
         argv = ["bounds", _write_fib(capsys, tmp_path), "--f", str(path)]
+    elif command == "validate":
+        argv = ["validate", str(path)]
     elif command == "exit":
         argv = ["gen", "exit", "--p", "1,0,0;0.5,0,0.5;0,0,1", "--s0", "a", "--out", out]
     else:
         argv = ["gen", "portfolio", "--q", "1.0", "--theta", "2.0", "--r-bank", "0.05",
                 "--grid", "0.0;1.0", "--support", str(path), "--out", out]
-    code, doc = _invoke_json(capsys, *argv)
-    assert code == 2
-    assert doc["error"]["type"] == expected
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["error"]["type"] == expected  # exactly one document
 
 
 def test_missing_file_exits_2(capsys, tmp_path):

@@ -202,6 +202,15 @@ def test_policy_constructors_and_choices():
     assert_allclose(uni.phi, 0.25, rtol=0, atol=0)
 
 
+
+@pytest.mark.parametrize("choices", [[-1, 0], [0, 2], [0.5, 1], [[0], [1]], []])
+def test_deterministic_policy_rejects_a_choice_that_is_not_an_action(choices):
+    # -1 would pick the last action and 2 or 0.5 raise a bare IndexError
+    with pytest.raises(SchemaError, match="integers in 0..1"):
+        Policy.deterministic(choices, n_actions=2)
+    assert_array_equal(Policy.deterministic(np.array([1, 0], dtype=np.uint8), 2).choices(),
+                       [1, 0])
+
 # ---------------------------------------------------------------------------
 # Graph generator
 # ---------------------------------------------------------------------------

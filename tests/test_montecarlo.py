@@ -205,6 +205,11 @@ def test_evolution_matches_reference_on_dying_paths(monkeypatch, kind, paths_per
     assert np.float64(log_product).view(np.uint64) == want[:1].view(np.uint64)[0]
 
 
+def _draws(table, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The draws themselves, from the flat indices the table returns."""
+    return table.index(rows, u) - rows * table.width
+
+
 @pytest.mark.parametrize("buckets_per_entry", [0, 1, None])
 def test_guide_table_draws_the_clamped_inverse_cdf_count(monkeypatch, buckets_per_entry):
     # rows that stop short of 1 too: a draw above the last entry clamps to the last column
@@ -221,7 +226,7 @@ def test_guide_table_draws_the_clamped_inverse_cdf_count(monkeypatch, buckets_pe
     rows = np.repeat(np.arange(len(probs)), len(points))
     u = np.tile(points, len(probs))
     want = np.minimum((cum[rows] <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
-    assert_array_equal(table.draw(rows, u), want)
+    assert_array_equal(_draws(table, rows, u), want)
 
 
 def _assert_draws_match_the_inverse_cdf(table, probs: np.ndarray, points: np.ndarray):
@@ -230,7 +235,7 @@ def _assert_draws_match_the_inverse_cdf(table, probs: np.ndarray, points: np.nda
     rows = np.repeat(np.arange(len(probs)), len(points))
     u = np.tile(points, len(probs))
     want = np.minimum((cum[rows] <= u[:, None]).sum(axis=1), probs.shape[1] - 1)
-    assert_array_equal(table.draw(rows, u), want)
+    assert_array_equal(_draws(table, rows, u), want)
 
 
 def test_one_hot_and_dyadic_rows_build_no_split_bucket():
@@ -238,17 +243,21 @@ def test_one_hot_and_dyadic_rows_build_no_split_bucket():
     probs = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                       [0.125, 0.375, 0.25, 0.25], [0.5, 0.0, 0.5, 0.0], [0.0, 0.75, 0.0, 0.0]])
     table = montecarlo._GuideTable(probs)
-    assert table.buckets == 32 and not table.split and not table.crowded
+    assert table.buckets == 32 and not table.crowded
     assert (table.guide >= 0).all()
+    # no bucket is split: the entry each compares against lies at or past its right edge
+    rows = np.repeat(np.arange(len(probs)), table.buckets)
+    right = np.tile(np.arange(1, table.buckets + 1) / table.buckets, len(probs))
+    assert (table.cum[rows * table.width + table.guide] >= right).all()
     cum = np.cumsum(probs, axis=1).ravel()
     edges = np.arange(table.buckets) / table.buckets
     _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(
         [cum, np.nextafter(cum, 0.0), edges, np.nextafter(edges, 0.0),
          np.random.default_rng(4).random(200)]))
-    # a deterministic policy's rows split nothing either
+    # a deterministic policy's rows crowd nothing either
     model = mild_model(2)
     policy = Policy.deterministic(np.arange(model.n_states) % model.n_actions, model.n_actions)
-    assert not montecarlo._GuideTable(policy.phi).split
+    assert not montecarlo._GuideTable(policy.phi).crowded
 
 
 def test_entry_on_an_interior_edge_draws_at_the_edge_and_one_ulp_below():
@@ -256,11 +265,12 @@ def test_entry_on_an_interior_edge_draws_at_the_edge_and_one_ulp_below():
     probs = np.array([[0.25, 0.1, 0.65]])
     table = montecarlo._GuideTable(probs)
     assert table.buckets == 32
-    assert table.guide[7] == 0 and table.guide[8] == 1  # no split on either side of the edge
-    assert table.guide[11] == ~1 and table.split and not table.crowded
+    assert table.guide[7] == 0 and table.guide[8] == 1  # left counts on either side of the edge
+    assert table.guide[11] == 1 and not table.crowded  # 0.35 inside, one entry below
+    assert_array_equal(table.cum, [0.25, 0.35, 2.0])  # the last entry lies above every u
     edge = 0.25
-    assert_array_equal(table.draw(np.zeros(2, dtype=np.intp),
-                                  np.array([edge, np.nextafter(edge, 0.0)])), [1, 0])
+    assert_array_equal(_draws(table, np.zeros(2, dtype=np.intp),
+                              np.array([edge, np.nextafter(edge, 0.0)])), [1, 0])
     _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(
         [[edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 0.35,
           np.nextafter(0.35, 0.0), 11 / 32, np.nextafter(12 / 32, 0.0)],
@@ -271,11 +281,13 @@ def test_bucket_with_one_inner_entry_stores_its_left_count_and_a_crowded_one_a_m
     # width 4, K = 32: 0.3 and 0.301 share bucket 9; 0.7 alone splits bucket 22
     probs = np.array([[0.3, 0.001, 0.399, 0.3], [0.7, 0.2, 0.05, 0.05]])
     table = montecarlo._GuideTable(probs)
-    assert table.buckets == 32 and table.split and table.crowded
-    assert table.guide[9] == ~3  # two entries inside: search the row
-    assert table.guide[22] == ~2  # one entry inside, two below its left edge
-    assert table.guide[32 + 22] == ~0  # 0.7 on the second row, none below
-    assert table.guide[32 + 28] == ~1  # 0.9 on the second row
+    assert table.buckets == 32 and table.crowded
+    assert table.guide[9] == -1  # two entries inside: search the row
+    assert table.guide[22] == 2  # one entry inside, two below its left edge
+    assert table.guide[32 + 22] == 0  # 0.7 on the second row, none below
+    assert table.guide[32 + 28] == 1  # 0.9 on the second row
+    assert table.guide[32 + 30] == 2  # 0.95 on the second row
+    assert (np.delete(table.guide, 9) >= 0).all()
     cum = np.cumsum(probs, axis=1).ravel()
     inside = (np.array([9, 22, 28, 30]) + np.random.default_rng(7).random((50, 1))) / 32
     _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(
@@ -397,7 +409,8 @@ def test_deterministic_simulate_records_the_chosen_actions():
     assert np.float64(log_product).view(np.uint64) == want[0].view(np.uint64)[0]
 
 
-def test_deterministic_sampler_maps_half_the_bytes_of_a_randomized_one(monkeypatch):
+def _record_mappings(monkeypatch) -> list[int]:
+    """The lengths of the anonymous mappings the sampler makes from here on."""
     sizes = []
     real = montecarlo.mmap.mmap
 
@@ -406,11 +419,97 @@ def test_deterministic_sampler_maps_half_the_bytes_of_a_randomized_one(monkeypat
         return real(fileno, length)
 
     monkeypatch.setattr(montecarlo.mmap, "mmap", recording)
+    return sizes
+
+
+def _record_blocks(monkeypatch) -> list[int]:
+    """The paths of each block the sampler evolves from here on."""
+    blocks = []
+    real = montecarlo._evolve
+
+    def recording(tables, x0, uniforms, record=False):
+        blocks.append(len(uniforms))
+        return real(tables, x0, uniforms, record)
+
+    monkeypatch.setattr(montecarlo, "_evolve", recording)
+    return blocks
+
+
+def test_deterministic_sampler_maps_half_the_bytes_of_a_randomized_one(monkeypatch):
+    sizes = _record_mappings(monkeypatch)
     model, deterministic = _deterministic_edge_case()
     randomized = Policy.uniform(model.n_states, model.n_actions)
     for policy in (deterministic, randomized):
         sample_log_products(model, policy, n=200, paths=6000, seed=1)
-    assert sizes == [5242 * 200 * 8, 5242 * 200 * 16]
+    # 6,000 paths at most 2,621 a block: three blocks of 2,000
+    assert sizes == [2000 * 200 * 8, 2000 * 200 * 16]
+
+
+def test_deterministic_sampler_at_the_benchmark_size_maps_seven_even_blocks(monkeypatch):
+    # n = 200, 16,000 paths: at most 2,621 a block, so 7 blocks of 2,286 (the last 2,284)
+    sizes, blocks = _record_mappings(monkeypatch), _record_blocks(monkeypatch)
+    model, policy = _deterministic_edge_case()
+    sample_log_products(model, policy, n=200, paths=16_000, seed=3)
+    assert sizes == [2286 * 200 * 8]
+    assert blocks == [2286] * 6 + [2284]
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "randomized"])
+def test_sampler_splits_one_path_past_three_full_blocks_into_four_even_ones(monkeypatch,
+                                                                             kind):
+    model, policy = _deterministic_edge_case()
+    if kind == "randomized":
+        policy = Policy.uniform(model.n_states, model.n_actions)
+    n, most, seed = 9, 5, 21
+    paths = 3 * most + 1
+    want, _, _ = _reference_evolve(model, policy, 2, _reference_uniforms(seed, 0, paths, n))
+    monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", most * 2 * n)
+    blocks = _record_blocks(monkeypatch)
+    got = sample_log_products(model, policy, n=n, paths=paths, x0=2, seed=seed)
+    assert blocks == [4, 4, 4, 4]
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _sparse_dyadic_model(seed: int, s: int = 12, a: int = 3) -> MdpModel:
+    """Rows with runs of zero-probability next states, and dyadic rows.
+
+    A zero entry repeats the CDF entry before it, so where that entry lies
+    inside a bucket, the bucket holds two or more entries and is crowded.
+    """
+    rng = np.random.default_rng(seed)
+    kernel = rng.random((s, a, s)) * (rng.random((s, a, s)) < 0.4)
+    kernel[..., 0] += 1e-3  # no empty row
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    kernel[:, -1] = rng.multinomial(16, np.full(s, 1 / s), size=s) / 16  # dyadic rows
+    weights = np.exp(rng.uniform(-0.5, 0.5, (s, a, s)))
+    return MdpModel(states=[f"s{i}" for i in range(s)], actions=[f"u{k}" for k in range(a)],
+                    kernel=kernel, weights=weights)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "randomized"])
+def test_evolution_matches_reference_on_zero_probability_and_dyadic_rows(kind):
+    model = _sparse_dyadic_model(31)
+    s, a = model.n_states, model.n_actions
+    rng = np.random.default_rng(32)
+    if kind == "deterministic":
+        policy = Policy.deterministic(np.arange(s) % a, a)  # dyadic rows on every third state
+    else:
+        phi = rng.random((s, a)) * (rng.random((s, a)) < 0.7)
+        phi[:, 0] += 1e-3
+        policy = Policy(phi / phi.sum(axis=1, keepdims=True))
+    assert policy.kind == kind
+    tables = montecarlo._tables(model, policy)
+    assert tables[1].crowded  # equal CDF entries share a bucket: some draws search
+    cdf = np.cumsum(model.kernel, axis=2).ravel()
+    uniforms = rng.random((3000, 11, 2))
+    uniforms[::3, :, 1] = rng.choice(np.concatenate([cdf, np.nextafter(cdf, 0.0)])
+                                     .clip(0.0, 1.0 - 2 ** -53), (1000, 11))
+    for x0 in (0, 5):
+        _assert_evolution_matches_reference(model, policy, x0, uniforms)
+    n, paths, seed = 30, 200, 33
+    want, _, _ = _reference_evolve(model, policy, 0, _reference_uniforms(seed, 0, paths, n))
+    got = sample_log_products(model, policy, n=n, paths=paths, seed=seed)
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_estimate_constant_chain_recovers_rate_exactly():
