@@ -48,7 +48,7 @@ _MODEL_FIELDS = ("states", "actions", "kernel", "weights", "metadata")
 
 
 def _number_array(value, what: str) -> np.ndarray:
-    """``value`` parsed from JSON as a float array, or a SchemaError naming ``what``.
+    """``value`` as a float array, or a SchemaError naming ``what``.
 
     The dtype is inferred first and must be numeric: under ``dtype=float``
     numpy would parse a string such as ``"0.5"``.
@@ -64,7 +64,7 @@ def _number_array(value, what: str) -> np.ndarray:
 
 def _as_tensor(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """Checked float copy of ``value``; the model never shares the caller's memory."""
-    arr = np.array(value, dtype=float)
+    arr = _number_array(value, name).copy()
     if arr.shape != shape:
         raise DimensionMismatch(
             f"{name} has shape {arr.shape}, expected {shape} from the label lists"
@@ -206,7 +206,7 @@ class Policy:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
+        phi = _number_array(self.phi, "policy matrix")
         if phi.ndim != 2:
             raise DimensionMismatch("policy matrix must be 2-dimensional")
         if np.any(phi < 0) or not np.all(np.isfinite(phi)):

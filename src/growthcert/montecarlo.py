@@ -13,12 +13,12 @@ inverse-CDF draw bit for bit: a bucket holds its count at its left edge,
 and one compare against the next CDF entry settles the draw; only a
 bucket with two or more entries inside searches its row.  Under a
 deterministic policy the action is the policy's choice, so only the
-next-state uniforms are kept, copied out of a small scratch a few paths at
-a time, and looked up in a guide table on the chosen rows.  Either way
-they are read eight steps at a time through a step-major copy, so each
-step's draws are contiguous.  The paths are split into the fewest blocks
-whose streams hold at most ``_BLOCK_UNIFORMS`` uniforms, all of one size.
-The tables are built once per call.
+next-state uniforms are kept and looked up in a guide table on the chosen
+rows.  Either way the streams are drawn a few paths at a time into a small
+scratch, and the kept columns copied into a step-major block, so each
+step's draws are contiguous and the block evolves in place.  The paths are
+split into the fewest blocks whose streams hold at most ``_BLOCK_UNIFORMS``
+uniforms, all of one size.  The tables are built once per call.
 
 Path products are accumulated as sums of log weights, with ``-inf`` for a
 zero weight, so a path that hits a zero reward factor carries the
@@ -43,8 +43,7 @@ from .model import MdpModel, Policy
 # next-state uniforms under a deterministic one
 _BLOCK_UNIFORMS = 1 << 20
 _BUCKETS_PER_ENTRY = 8  # guide-table buckets per CDF entry, rounded up to a power of two
-_SCRATCH_UNIFORMS = 1 << 16  # uniforms drawn at a time for a deterministic policy (512 KB)
-_CHUNK_STEPS = 8  # steps of uniforms copied step-major at a time: at most 128 bytes per path
+_SCRATCH_UNIFORMS = 1 << 16  # uniforms drawn at a time (512 KB)
 
 
 @dataclass(frozen=True)
@@ -178,46 +177,43 @@ def _tables(model: MdpModel, policy: Policy):
 
 
 def _stored(tables, uniforms: np.ndarray) -> np.ndarray:
-    """The part of ``uniforms[paths, n, 2]`` that :func:`_evolve` reads under ``tables``.
+    """The part of ``uniforms[paths, n, 2]`` that :func:`_evolve` reads, as a step-major view.
 
-    Under a deterministic policy that is the next-state column only; this
-    is the one place that reads the layout :func:`_tables` chose.
+    That is ``[n, paths]`` next-state draws under a deterministic policy,
+    whose actions are its choices, and ``[n, paths, 2]`` (action,
+    next-state) under a randomized one.
     """
-    return uniforms[..., 1] if isinstance(tables[0], np.ndarray) else uniforms
+    return (uniforms[..., 1] if isinstance(tables[0], np.ndarray) else uniforms).swapaxes(0, 1)
 
 
 def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
     """Advance a block of paths; returns (log_products, states?, actions?).
 
-    ``uniforms`` is what :func:`_stored` keeps: ``[paths, n]`` next-state
-    draws under a deterministic policy, ``[paths, n, 2]`` (action,
-    next-state) under a randomized one.  They are read ``_CHUNK_STEPS``
-    steps at a time through a step-major copy ``[steps, paths(, 2)]``, so
-    each step's draws are contiguous.
+    ``uniforms`` is laid out as :func:`_stored` returns it, and read one
+    step at a time in place, so a contiguous block reads each step's draws
+    contiguously.
     """
     actions_of, next_of, log_w = tables
-    fixed = uniforms.ndim == 2  # next-state draws only: the actions are the policy's choices
+    fixed = isinstance(actions_of, np.ndarray)  # next-state draws only, as in _stored
     s = next_of.width
-    b, n = uniforms.shape[:2]
+    n, b = uniforms.shape[:2]
     xs = np.full(b, x0, dtype=int)
     logs = np.zeros(b)
     states = np.empty((b, n + 1), dtype=int) if record else None
     actions = np.empty((b, n), dtype=int) if record else None
     if record:
         states[:, 0] = xs
-    for start in range(0, n, _CHUNK_STEPS):
-        chunk = np.ascontiguousarray(uniforms[:, start:start + _CHUNK_STEPS].swapaxes(0, 1))
-        for m, step in enumerate(chunk):
-            # a row of the next-state table (the state, or state * a + action),
-            # then its flat index row * s + next state, which indexes log_w too
-            rows = xs if fixed else actions_of.index(xs, step[:, 0])
-            flat = next_of.index(rows, step if fixed else step[:, 1])
-            logs += log_w[flat]
-            ys = flat - rows * s
-            if record:
-                actions[:, start + m] = actions_of[xs] if fixed else rows - xs * actions_of.width
-                states[:, start + m + 1] = ys
-            xs = ys
+    for m, step in enumerate(uniforms):
+        # a row of the next-state table (the state, or state * a + action),
+        # then its flat index row * s + next state, which indexes log_w too
+        rows = xs if fixed else actions_of.index(xs, step[:, 0])
+        flat = next_of.index(rows, step if fixed else step[:, 1])
+        logs += log_w[flat]
+        ys = flat - rows * s
+        if record:
+            actions[:, m] = actions_of[xs] if fixed else rows - xs * actions_of.width
+            states[:, m + 1] = ys
+        xs = ys
     return logs, states, actions
 
 
@@ -269,24 +265,17 @@ def sample_log_products(model: MdpModel, policy: Policy, n: int, paths: int,
     # ends: on the malloc heap a freed block stays resident, and whether the
     # next one fits its hole or grows the heap by a block more hangs on the
     # heap's layout (the same benchmark run peaked at 59 or 73 MB by it)
-    shape = (block,) + _stored(tables, np.empty((0, n, 2))).shape[1:]
+    shape = (n, block) + _stored(tables, np.empty((0, 0, 2))).shape[2:]
     uniforms = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-    # streams whose draws are all stored are drawn straight into the block;
-    # others are drawn a few paths at a time into a scratch, and the stored
-    # columns copied into the block
-    whole = shape[1:] == (n, 2)
     sub = min(block, max(1, _SCRATCH_UNIFORMS // (2 * n)))
-    scratch = None if whole else np.empty((sub, n, 2))
+    scratch = np.empty((sub, n, 2))
     for start in range(0, paths, block):
         count = min(block, paths - start)
-        if whole:
-            _path_uniforms(seed, start, count, n, uniforms[:count])
-        else:
-            for first in range(0, count, sub):
-                k = min(sub, count - first)
-                _path_uniforms(seed, start + first, k, n, scratch[:k])
-                uniforms[first:first + k] = _stored(tables, scratch[:k])
-        out[start:start + count] = _evolve(tables, x0, uniforms[:count])[0]
+        for first in range(0, count, sub):
+            k = min(sub, count - first)
+            _path_uniforms(seed, start + first, k, n, scratch[:k])
+            uniforms[:, first:first + k] = _stored(tables, scratch[:k])
+        out[start:start + count] = _evolve(tables, x0, uniforms[:, :count])[0]
     return out
 
 

@@ -430,10 +430,10 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         ["solve", model, "--tol", "0"],
         ["variational", model, "--iters", "0"],
         ["variational", model, "--tol", "nan"],
-        ["variational", model, "--step", "0"],
-        ["variational", model, "--step", "-1"],
-        ["variational", model, "--step", "nan"],
-        ["variational", model, "--penalty", "-1"],
+        ["variational", model, "--iters", "-1"],
+        ["variational", model, "--iters", "x"],
+        ["variational", model, "--tol", "0"],
+        ["variational", model, "--tol", "inf"],
         ["solve", model, "--eps-fallback", "0"],
         ["solve", model, "--eps-fallback", "nan"],
         ["eps-sweep", model, "--grid", "0,1", "--out", model],
@@ -443,7 +443,7 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         ["mc", model, "--policy", model, "--n", "5", "--paths", "-1"],
         ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--batches", "1"],
         ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--batches", "x"],
-        ["variational", model, "--seed", "-1"],
+        ["variational", model, "--tol", "-1"],
         ["mc", model, "--policy", model, "--n", "5", "--paths", "10", "--seed", "-1"],
         ["eps-sweep", model, "--grid", "1e-2,1e-1", "--out", model],
         ["eps-sweep", model, "--grid", "1e-2,1e-2", "--out", model],
@@ -456,7 +456,8 @@ def test_usage_errors_exit_4(capsys, tmp_path):
         ["eps-sweep", fib, "--grid", "1e-2", "--out", str(tmp_path / "missing" / "s.csv")],
     ):
         assert run(argv) == 4, argv
-        assert capsys.readouterr().out == "", argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" not in captured.err, argv
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(growthcert.__file__)))
     proc = subprocess.run([sys.executable, "-m", "growthcert", "solve", model, "--tol", "nan"],
                           env=env, capture_output=True, text=True)

@@ -73,6 +73,17 @@ def test_negative_and_nonfinite_entries_rejected():
                  weights=np.ones((1, 1, 1)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Policy([["1.0", "0"], ["0.5", "0.5"]]),
+    lambda: MdpModel(["a"], ["u"], [[["1.0"]]], [[["2"]]]),
+    lambda: MdpModel(["a", "b"], ["u"], [[[0.5, 0.5]], [[1.0]]], np.ones((2, 1, 2))),
+], ids=["policy-strings", "model-strings", "ragged-kernel"])
+def test_constructors_refuse_what_is_not_a_rectangular_array_of_numbers(build):
+    # numpy parses "1.0" under dtype=float, and a ragged list raises a bare ValueError
+    with pytest.raises(SchemaError, match="rectangular array of numbers"):
+        build()
+
+
 def test_tensors_are_frozen():
     model = fib_model()
     with pytest.raises(ValueError):

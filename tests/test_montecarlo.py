@@ -299,7 +299,8 @@ def _assert_evolution_matches_reference(model: MdpModel, policy: Policy, x0: int
     want = _reference_evolve(model, policy, x0, uniforms)
     tables = montecarlo._tables(model, policy)
     stored = montecarlo._stored(tables, uniforms)  # the columns the sampler keeps
-    assert stored.ndim == (2 if policy.kind == "deterministic" else 3)
+    b, n, _ = uniforms.shape
+    assert stored.shape == ((n, b) if policy.kind == "deterministic" else (n, b, 2))
     logs, _, _ = montecarlo._evolve(tables, x0, stored)
     got = montecarlo._evolve(tables, x0, stored, record=True)
     assert_array_equal(logs.view(np.uint64), want[0].view(np.uint64))
@@ -353,8 +354,6 @@ def test_evolution_matches_reference_on_bucket_edges_and_cdf_entries(monkeypatch
 
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_evolution_matches_reference_across_a_chunk_boundary(n):
-    # the uniforms are read _CHUNK_STEPS (8) steps at a time
-    assert montecarlo._CHUNK_STEPS == 8
     model, policy = _edge_case_model()
     uniforms = np.random.default_rng(n).random((500, n, 2))
     for x0 in (0, 3):
@@ -388,16 +387,18 @@ def _deterministic_edge_case() -> tuple[MdpModel, Policy]:
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 200])
 def test_deterministic_sampler_draws_next_states_in_sub_blocks_bit_for_bit(
         monkeypatch, n, per_block, per_scratch):
-    # 37 paths: blocks of 5 or 7 paths end short, and so do scratch fills of 2, 3 or 4
-    model, policy = _deterministic_edge_case()
+    # 37 paths: blocks of 5 or 7 paths end short, and so do scratch fills of 2, 3 or 4;
+    # a randomized policy's streams take the same scratch, both columns kept
     paths, seed, x0 = 37, 12, 3
-    want, _, _ = _reference_evolve(model, policy, x0, _reference_uniforms(seed, 0, paths, n))
     if per_block:
         monkeypatch.setattr(montecarlo, "_BLOCK_UNIFORMS", per_block * 2 * n)
     if per_scratch:
         monkeypatch.setattr(montecarlo, "_SCRATCH_UNIFORMS", per_scratch * 2 * n)
-    got = sample_log_products(model, policy, n=n, paths=paths, x0=x0, seed=seed)
-    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    model, deterministic = _deterministic_edge_case()
+    for policy in (deterministic, _edge_case_model()[1]):
+        want, _, _ = _reference_evolve(model, policy, x0, _reference_uniforms(seed, 0, paths, n))
+        got = sample_log_products(model, policy, n=n, paths=paths, x0=x0, seed=seed)
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_deterministic_simulate_records_the_chosen_actions():
@@ -428,7 +429,7 @@ def _record_blocks(monkeypatch) -> list[int]:
     real = montecarlo._evolve
 
     def recording(tables, x0, uniforms, record=False):
-        blocks.append(len(uniforms))
+        blocks.append(uniforms.shape[1])  # step-major: [n, paths(, 2)]
         return real(tables, x0, uniforms, record)
 
     monkeypatch.setattr(montecarlo, "_evolve", recording)
