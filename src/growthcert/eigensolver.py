@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NonpositiveF, ReducibleGain, TooManyPolicies
-from .model import MdpModel, Policy, _strongly_connected, epsilon_model, validate
+from .model import MdpModel, Policy, _check_policy, _strongly_connected, epsilon_model, validate
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -233,8 +233,8 @@ def solve_eigen(
         raise ValueError("tol must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if eps_fallback is not None and not (eps_fallback > 0):
-        raise ValueError("eps_fallback must be > 0 when given")
+    if eps_fallback is not None and not (0 < eps_fallback < math.inf):
+        raise ValueError("eps_fallback must be finite and > 0 when given")
     epsilon = 0.0
     if not (report.a0_plus and report.a1_plus):
         if eps_fallback is not None:
@@ -297,6 +297,7 @@ def fixed_policy_gain(
     ``max_iter`` below 1 is a ``ValueError``, here and in
     :func:`enumerate_policy_gains`.
     """
+    _check_policy(model, phi)
     mat = np.einsum("xu,xuy->xy", phi.phi, model.gain)
     if not _strongly_connected(mat > 0):
         raise ReducibleGain("policy gain matrix is not irreducible")
@@ -369,8 +370,8 @@ def epsilon_sweep(model: MdpModel, grid) -> list[SweepPoint]:
     the smoothing; a rise raises :class:`NoConvergence`.
     """
     grid = [float(e) for e in grid]
-    if not grid or any(e <= 0 for e in grid):
-        raise ValueError("grid must be non-empty with strictly positive entries")
+    if not grid or any(not 0 < e < math.inf for e in grid):
+        raise ValueError("grid must be non-empty with finite, strictly positive entries")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly decreasing")
     points: list[SweepPoint] = []

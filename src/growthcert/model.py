@@ -242,6 +242,15 @@ class Policy:
         return np.argmax(self.phi, axis=1)
 
 
+def _check_policy(model: MdpModel, policy: Policy) -> None:
+    """Raise :class:`DimensionMismatch` unless ``policy`` has the model's states and actions."""
+    if policy.phi.shape != (model.n_states, model.n_actions):
+        raise DimensionMismatch(
+            f"policy shape {policy.phi.shape} does not match model "
+            f"({model.n_states}, {model.n_actions})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------

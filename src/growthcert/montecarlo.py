@@ -11,7 +11,7 @@ draw).  Under a randomized policy both are kept and each is looked up in a
 guide table (the indexed search of Chen & Asau, 1974) that returns the
 inverse-CDF draw bit for bit: a bucket holds its count at its left edge,
 and one compare against the next CDF entry settles the draw; only a
-bucket with two or more entries inside searches its row.  Under a
+bucket with two or more entries inside counts its row.  Under a
 deterministic policy the action is the policy's choice, so only the
 next-state uniforms are kept and looked up in a guide table on the chosen
 rows.  Either way the streams are drawn a few paths at a time into a small
@@ -35,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .model import MdpModel, Policy
+from .model import MdpModel, Policy, _check_policy
 
 # paths per block are at most _BLOCK_UNIFORMS // (2 n), spread evenly over the
 # fewest blocks: at most 8 MB of float64 under a randomized policy, 4 MB of kept
@@ -104,14 +103,13 @@ class _GuideTable:
     past the left edge, so it is the one entry that can lie inside the
     bucket, and when it does not, it lies at or beyond the right edge (or
     is the stored 2) and the compare adds nothing.  Only a bucket with two
-    or more entries inside is crowded: it holds the marker -1 and searches
+    or more entries inside is crowded: it holds the marker -1 and counts
     its row.  With ``K`` a power of two, ``floor(u K)`` and ``c K`` are
     exact, so every draw equals the plain inverse-CDF count bit for bit.  A
     uniform draw lands in a crowded bucket with probability below
     ``width / (2 K)``, and one-hot or dyadic rows crowd none.  Buckets take
     the smallest signed type that holds them (int8 or int16 below 32,768
-    columns), so a kernel's guide is at most four times the kernel's size,
-    and its search keys twice.
+    columns), so a kernel's guide is at most four times the kernel's size.
     """
 
     def __init__(self, probs: np.ndarray):
@@ -130,9 +128,6 @@ class _GuideTable:
         self.crowded = r.size > 0
         cum[:, -1] = 2.0
         self.cum = cum.ravel()
-        # the rows as one increasing array: numpy orders complex numbers by
-        # real part, then imaginary part, so row r's keys are r + 1j cum[r]
-        self.keys = (np.arange(len(cum))[:, None] + 1j * cum).ravel()
 
     def index(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``rows * width + draw``: the flat index of each row's inverse-CDF draw of ``u``.
@@ -147,9 +142,10 @@ class _GuideTable:
         at += lo
         if self.crowded:
             search = np.flatnonzero(lo < 0)
-            if search.size:  # the keys at or below r + 1j u count r * width + the draw
-                at[search] = np.searchsorted(self.keys, rows[search] + 1j * u[search],
-                                             side="right")
+            if search.size:  # count the row's entries at or below u: the stored 2 is never one
+                r = rows[search]
+                hits = self.cum.reshape(-1, self.width)[r] <= u[search, None]
+                at[search] = r * self.width + hits.sum(axis=1)
         at += u >= self.cum[at]
         return at
 
@@ -218,11 +214,7 @@ def _evolve(tables, x0: int, uniforms: np.ndarray, record: bool = False):
 
 
 def _check_common(model: MdpModel, policy: Policy, n: int, x0: int, seed: int):
-    if policy.phi.shape != (model.n_states, model.n_actions):
-        raise DimensionMismatch(
-            f"policy shape {policy.phi.shape} does not match model "
-            f"({model.n_states}, {model.n_actions})"
-        )
+    _check_policy(model, policy)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0 <= x0 < model.n_states):

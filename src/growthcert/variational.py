@@ -32,7 +32,7 @@ from .errors import (
     SingularChain,
     ZeroGainRow,
 )
-from .model import MdpModel, epsilon_model, validate
+from .model import MdpModel, _check_policy, epsilon_model, validate
 
 MASS_TOL = 1e-12
 
@@ -180,6 +180,7 @@ def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
     """
     if not eig.converged:
         raise NotConverged("twisted occupation needs a converged eigensolution")
+    _check_policy(model, eig.v_star)
     model = _solved_model(model, eig)
     s = model.n_states
     choices = eig.v_star.choices()
@@ -234,35 +235,30 @@ def dual_bound(model: MdpModel, g: np.ndarray) -> float:
     g = np.asarray(g, dtype=float)
     if g.shape != (model.n_states,) or not np.all(np.isfinite(g)):
         raise NotDistribution(f"g must be a finite vector of length {model.n_states}")
-    gain = model.gain
-    sup = gain > 0
-    vals = np.where(sup, np.log(np.where(sup, gain, 1.0)) + g[None, None, :], -np.inf)
-    row_max = vals.max(axis=2)
-    dead_rows = ~np.isfinite(row_max)
-    safe_max = np.where(dead_rows, 0.0, row_max)
-    sums = np.exp(vals - safe_max[:, :, None]).sum(axis=2)
-    lse = np.where(
-        dead_rows, -np.inf, safe_max + np.log(np.where(dead_rows, 1.0, sums))
-    )
-    per_state = lse.max(axis=1)
-    if np.any(~np.isfinite(per_state)):
+    live = model.gain.any(axis=2)
+    if not live.any(axis=1).all():
         return float("inf")
-    return float(np.max(per_state - g))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0; a dead row's NaN is masked
+        return float(_pair_values(np.log(model.gain), g)[0][live].max())
+
+
+def _pair_values(log_gain: np.ndarray, g: np.ndarray):
+    """``(L, e, norm)``: ``L[x, u] = log sum_y gain e^g - g[x]``, ``e / norm`` the Gibbs rows."""
+    z = log_gain + g
+    zmax = z.max(axis=2, keepdims=True)
+    e = np.exp(z - zmax)
+    norm = e.sum(axis=2)
+    return zmax[:, :, 0] + np.log(norm) - g[:, None], e, norm
 
 
 def _smoothed_dual(log_gain: np.ndarray, g: np.ndarray, tau: float):
     """``F_tau(g)``, the pair values ``L``, soft-max weights ``w`` and Gibbs rows ``q``.
 
-    ``L[x, u] = log sum_y gain e^g - g[x]`` is the term :func:`dual_bound`
-    maximizes; ``F_tau = tau * logsumexp(L / tau)`` exceeds ``max L`` by at
-    most ``tau log(s a)``, ``w = softmax(L / tau)`` is its gradient in ``L``
-    and ``q[x, u, :]`` is proportional to ``gain[x, u, :] * e^g``.
+    ``F_tau = tau * logsumexp(L / tau)`` exceeds ``max L``, the bound of
+    :func:`dual_bound`, by at most ``tau log(s a)``; ``w = softmax(L / tau)``
+    is its gradient in ``L`` and ``q = e / norm`` (see :func:`_pair_values`).
     """
-    z = log_gain + g
-    zmax = z.max(axis=2, keepdims=True)
-    e = np.exp(z - zmax)
-    norm = e.sum(axis=2)
-    L = zmax[:, :, 0] + np.log(norm) - g[:, None]
+    L, e, norm = _pair_values(log_gain, g)
     top = L.max()
     with np.errstate(over="ignore"):  # (L - top) / tau may overflow to -inf: exp gives its limit 0
         w = np.exp((L - top) / tau)

@@ -32,6 +32,7 @@ from growthcert import (
 )
 from growthcert.eigensolver import _POWER_STEPS, _inverse_step
 from growthcert.errors import (
+    DimensionMismatch,
     NoConvergence,
     NonpositiveF,
     ReducibleGain,
@@ -264,6 +265,10 @@ def test_solve_keeps_a_rho_past_1e154_finite(seed):
 def test_solve_rejects_nonpositive_fallback():
     with pytest.raises(ValueError, match="eps_fallback"):
         solve_eigen(fib_model(), eps_fallback=0.0)
+    for model in (fib_model(), random_positive_model(3)):  # the fallback unused on the second
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps_fallback"):
+                solve_eigen(model, eps_fallback=eps)
 
 
 def test_solution_is_deterministic_bitwise():
@@ -533,6 +538,13 @@ def test_policy_gains_reject_invalid_budget(kwargs):
         fixed_policy_gain(model, Policy.uniform(4, 3), **kwargs)
     with pytest.raises(ValueError, match="tol"):
         enumerate_policy_gains(model, **kwargs)
+
+
+def test_fixed_policy_gain_rejects_a_policy_of_another_shape():
+    model = random_positive_model(8, s=4, a=3)
+    with pytest.raises(DimensionMismatch,
+                       match=r"policy shape \(3, 3\) does not match model \(4, 3\)"):
+        fixed_policy_gain(model, Policy.uniform(3, 3))
 
 
 def test_fixed_policy_gain_rejects_reducible_chain():

@@ -288,6 +288,8 @@ def test_bucket_with_one_inner_entry_stores_its_left_count_and_a_crowded_one_a_m
     assert table.guide[32 + 28] == 1  # 0.9 on the second row
     assert table.guide[32 + 30] == 2  # 0.95 on the second row
     assert (np.delete(table.guide, 9) >= 0).all()
+    held = sorted(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+    assert held == sorted([table.guide.nbytes, table.cum.nbytes]) == [64, 64]  # no other copy
     cum = np.cumsum(probs, axis=1).ravel()
     inside = (np.array([9, 22, 28, 30]) + np.random.default_rng(7).random((50, 1))) / 32
     _assert_draws_match_the_inverse_cdf(table, probs, np.concatenate(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from growthcert import (
     validate,
 )
 from growthcert.errors import (
+    DimensionMismatch,
     NoConvergence,
     NotConverged,
     NotDistribution,
@@ -214,6 +216,10 @@ def test_twisted_rejects_mismatched_model():
     sol = solve_eigen(model_a)
     with pytest.raises(RowSumViolation):
         twisted_occupation(model_b, sol)
+    model_c = random_positive_model(22, s=model_a.n_states + 1, a=model_a.n_actions)
+    for route in (twisted_occupation, certificate_from_eigen):
+        with pytest.raises(DimensionMismatch, match="does not match model"):
+            route(model_c, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +342,25 @@ def test_dual_bound_dominates_feasible_objectives():
         eta = random_feasible(model, seed=seed)
         g = rng.normal(size=model.n_states)
         assert objective_psi0(model, eta) <= dual_bound(model, g) + 1e-9
+
+
+def test_dual_bound_skips_a_dead_pair_beside_a_live_one():
+    kernel = np.array([[[0.0, 0.6, 0.4], [0.5, 0.0, 0.5]],
+                       [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]],
+                       [[0.0, 0.0, 1.0], [0.3, 0.3, 0.4]]])
+    weights = np.exp(np.random.default_rng(3).uniform(-2.0, 2.0, size=kernel.shape))
+    weights[1, 0] = 0.0  # a dead (state, action) row beside the live action 1
+    model = MdpModel(states=["a", "b", "c"], actions=["u", "v"], kernel=kernel, weights=weights)
+    for g in (np.zeros(3), np.array([0.5, -1.0, 2.0]), np.array([-300.0, 250.0, 10.0])):
+        want = max(
+            math.log(sum(gain * math.exp(gy) for gain, gy in zip(model.gain[x, u], g) if gain > 0))
+            - g[x]
+            for x in range(3) for u in range(2) if model.gain[x, u].any()
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = dual_bound(model, g)
+        assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_dual_bound_dead_row_is_plus_infinity():
@@ -488,6 +513,16 @@ def test_maximize_types_a_closure_whose_stationary_solve_fails(family, seed):
     else:
         assert cert.gap > 1e-6
         assert cert.primal_lower <= solve_eigen(model).log_rho <= cert.dual_upper
+
+
+@pytest.mark.parametrize("grid", [[1e-2, 1e-3, math.nan], [math.inf, 1e-3]])
+def test_sweep_rejects_a_non_finite_grid_entry_before_solving(grid, monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("epsilon_sweep started solving")
+
+    monkeypatch.setattr(eigensolver, "solve_eigen", no_solve)
+    with pytest.raises(ValueError, match="grid must be non-empty with finite"):
+        epsilon_sweep(fib_model(), grid)
 
 
 def test_sweep_grid_must_decrease():
