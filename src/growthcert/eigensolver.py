@@ -104,8 +104,8 @@ def cw_bounds(model: MdpModel, f: np.ndarray) -> tuple[float, float]:
     f = np.asarray(f, dtype=float)
     if f.shape != (model.n_states,) or not np.all(np.isfinite(f)) or np.any(f <= 0):
         raise NonpositiveF("f must be strictly positive, finite, of length n_states")
-    tf, _ = apply_T(model, f)
-    ratios = tf / f
+    with np.errstate(over="ignore"):  # a ratio past the float range is +inf, a vacuous bound
+        ratios = apply_T(model, f)[0] / f
     return float(ratios.min()), float(ratios.max())
 
 
@@ -155,14 +155,16 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
         tf = per_action.max(axis=1)
         inverse = iters > _POWER_STEPS and last is not None
         if iters == 1 or inverse:  # the scale from the unscaled bracket
-            ratios = tf / f
+            with np.errstate(over="ignore"):  # a ratio past the float range is +inf
+                ratios = tf / f
             lo, sigma = float(ratios.min()), float(ratios.max())
             k = 0
             if 0 < sigma < math.inf and not (lo <= 2 and sigma >= 0.5):
                 k = round(math.log2(sigma) if lo <= 0 else (math.log2(lo) + math.log2(sigma)) / 2)
         if k:
             tf = np.ldexp(tf, -k)
-        ratios = tf / f
+        with np.errstate(over="ignore"):
+            ratios = tf / f
         lo_k, hi_k = float(ratios.min()), float(ratios.max())
         if (ok := lo_k > 0 and hi_k - lo_k <= tol * lo_k) or iters == max_iter:
             why = None if ok else f"within {max_iter} iterations"
@@ -261,24 +263,27 @@ def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
     also when a periodic ``M_p`` has several eigenvalues of top modulus.
     Matrices whose bracket there is wider than ``tol`` go on in the damped
     loop from that vector (from ones if it has a zero entry).  Returns
-    ``(gains, converged)``, each gain the log of its bracket's geometric mean.
+    ``(gains, converged, stops)``, each gain the log of its bracket's
+    geometric mean, and ``stops`` mapping each matrix the loop ran on to its
+    ``(solution, why)``.
     """
     if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
         raise ValueError("tol must be finite and > 0, and max_iter >= 1")
     vals, vecs = np.linalg.eig(mats)
     top = np.abs(vals).argmax(axis=1)
     f = np.abs(np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         f /= f.max(axis=1, keepdims=True)
         f[~(f > 0).all(axis=1)] = 1.0
         ratios = np.einsum("pxy,py->px", mats, f) / f
         lo, hi = ratios.min(axis=1), ratios.max(axis=1)
         gains = 0.5 * (np.log(lo) + np.log(hi))
     done = (lo > 0) & (hi - lo <= tol * lo)
+    stops = {}
     for p in np.flatnonzero(~done):
-        sol, _ = _certified_iteration(mats[p][:, None, :], f[p], tol, max_iter)
+        sol, _ = stops[p] = _certified_iteration(mats[p][:, None, :], f[p], tol, max_iter)
         gains[p], done[p] = sol.log_rho, sol.converged
-    return gains, done
+    return gains, done, stops
 
 
 def fixed_policy_gain(
@@ -293,20 +298,20 @@ def fixed_policy_gain(
     so this is a direct Perron solve of a single matrix, certified by its
     Collatz-Wielandt bracket (see :func:`_perron_gains`).  Requires
     ``M_phi`` irreducible; callers holding a reducible policy should perturb
-    it or smooth the model first.  A non-finite or non-positive ``tol`` or a
-    ``max_iter`` below 1 is a ``ValueError``, here and in
-    :func:`enumerate_policy_gains`.
+    it or smooth the model first.  A bracket the loop leaves open raises
+    :class:`NoConvergence` with the loop's reason and iteration count.  A
+    non-finite or non-positive ``tol`` or a ``max_iter`` below 1 is a
+    ``ValueError``, here and in :func:`enumerate_policy_gains`.
     """
     _check_policy(model, phi)
     mat = np.einsum("xu,xuy->xy", phi.phi, model.gain)
     if not _strongly_connected(mat > 0):
         raise ReducibleGain("policy gain matrix is not irreducible")
-    gains, done = _perron_gains(mat[None], tol, max_iter)
+    gains, done, stops = _perron_gains(mat[None], tol, max_iter)
     if not done[0]:
-        raise NoConvergence(
-            f"policy gain iteration did not converge within {max_iter} iterations",
-            iterations=max_iter,
-        )
+        sol, why = stops[0]
+        raise NoConvergence(f"policy gain iteration did not converge {why}",
+                            iterations=sol.iterations)
     return float(gains[0])
 
 
@@ -341,7 +346,7 @@ def enumerate_policy_gains(
             usable[i] = _strongly_connected(mats[i] > 0)
         gains = np.full(len(chunk), np.nan)
         if usable.any():
-            got, done = _perron_gains(mats[usable], tol, max_iter)
+            got, done, _ = _perron_gains(mats[usable], tol, max_iter)
             gains[usable] = np.where(done, got, np.nan)
         table += [(row, None if np.isnan(g) else float(g)) for row, g in zip(chunk, gains)]
     scored = [row for row in table if row[1] is not None]

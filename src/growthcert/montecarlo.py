@@ -28,8 +28,6 @@ max-shifted sums, never producing a NaN.
 
 from __future__ import annotations
 
-import math
-import mmap
 import operator
 from dataclasses import dataclass
 
@@ -253,12 +251,7 @@ def sample_log_products(model: MdpModel, policy: Policy, n: int, paths: int,
     # short by less than the count of blocks), so none is larger than it needs
     most = max(1, _BLOCK_UNIFORMS // (2 * n))
     block = -(-paths // -(-paths // most))
-    # the call's blocks share one anonymous mapping, unmapped when the call
-    # ends: on the malloc heap a freed block stays resident, and whether the
-    # next one fits its hole or grows the heap by a block more hangs on the
-    # heap's layout (the same benchmark run peaked at 59 or 73 MB by it)
-    shape = (n, block) + _stored(tables, np.empty((0, 0, 2))).shape[2:]
-    uniforms = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+    uniforms = np.empty((n, block) + _stored(tables, np.empty((0, 0, 2))).shape[2:])
     sub = min(block, max(1, _SCRATCH_UNIFORMS // (2 * n)))
     scratch = np.empty((sub, n, 2))
     for start in range(0, paths, block):

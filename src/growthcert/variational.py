@@ -346,7 +346,7 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
                 certificate=cert,
             ) from exc
         value = objective_psi0(model, eta)
-        dual = dual_bound(model, g)
+        dual = float(L.max())  # dual_bound(model, g): every pair of a positive model is live
         cert = Certificate(primal_lower=value, dual_upper=dual, gap=dual - value, eta=eta, g=g)
         if cert.gap <= tol * max(1.0, abs(value)):
             return cert

@@ -130,6 +130,20 @@ def test_bounds_command(capsys, tmp_path):
     assert abs(doc["upper"] - 5.0 / 3.0) <= 1e-12
 
 
+@pytest.mark.parametrize("f", ["[5e-324, 1.0]", "[1e308, 1e308]"])
+def test_bounds_with_an_overflowing_ratio_reports_inf_silently(capsys, tmp_path, f):
+    # a ratio past the float range, in the division or in T f itself
+    path = _write_fib(capsys, tmp_path)
+    fpath = tmp_path / "f.json"
+    fpath.write_text(f + "\n")
+    code = run(["bounds", path, "--f", str(fpath)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    doc = json.loads(captured.out)
+    assert doc["upper"] == "inf"
+    assert 0 < doc["lower"] <= (1 + 5 ** 0.5) / 2
+
+
 def test_mc_command_matches_library(capsys, tmp_path):
     model = mild_model(2)
     path = str(tmp_path / "model.json")

@@ -520,6 +520,23 @@ def test_fixed_policy_gain_closes_a_wide_seed_bracket():
     assert_allclose(got, _log_spectral_radius(model.gain[:, 0, :]), rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("seed", [17, 33])
+def test_fixed_policy_gain_on_a_wide_seed_warns_nothing(seed):
+    # the optimal policy's bracket at its eigenvector has ratios past the float range
+    model = fuzz_model(seed, "wide")
+    sol = solve_eigen(model)
+    assert_allclose(fixed_policy_gain(model, sol.v_star), sol.log_rho, rtol=1e-12, atol=0)
+
+
+def test_fixed_policy_gain_reports_where_its_loop_stopped():
+    model = fuzz_model(2, "wide")
+    policy = Policy.deterministic([0] * model.n_states, model.n_actions)
+    with pytest.raises(NoConvergence, match="after 7 iterations: the next step underflows"
+                                            " an entry of psi to 0") as info:
+        fixed_policy_gain(model, policy, max_iter=3000)
+    assert info.value.iterations == 7
+
+
 def test_enumerate_matches_dense_oracle_on_positive_suite():
     for seed in range(20):
         model = random_positive_model(seed)

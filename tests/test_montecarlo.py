@@ -412,48 +412,45 @@ def test_deterministic_simulate_records_the_chosen_actions():
     assert np.float64(log_product).view(np.uint64) == want[0].view(np.uint64)[0]
 
 
-def _record_mappings(monkeypatch) -> list[int]:
-    """The lengths of the anonymous mappings the sampler makes from here on."""
-    sizes = []
-    real = montecarlo.mmap.mmap
+def _record_blocks(monkeypatch, bases: list | None = None) -> list[int]:
+    """The paths of each block the sampler evolves from here on.
 
-    def recording(fileno, length):
-        sizes.append(length)
-        return real(fileno, length)
-
-    monkeypatch.setattr(montecarlo.mmap, "mmap", recording)
-    return sizes
-
-
-def _record_blocks(monkeypatch) -> list[int]:
-    """The paths of each block the sampler evolves from here on."""
+    ``bases``, when given, receives the array each block is a view of.
+    """
     blocks = []
     real = montecarlo._evolve
 
     def recording(tables, x0, uniforms, record=False):
         blocks.append(uniforms.shape[1])  # step-major: [n, paths(, 2)]
+        if bases is not None:
+            bases.append(uniforms.base)
         return real(tables, x0, uniforms, record)
 
     monkeypatch.setattr(montecarlo, "_evolve", recording)
     return blocks
 
 
-def test_deterministic_sampler_maps_half_the_bytes_of_a_randomized_one(monkeypatch):
-    sizes = _record_mappings(monkeypatch)
+def test_deterministic_sampler_allocates_half_the_bytes_of_a_randomized_one(monkeypatch):
+    bases = []
+    blocks = _record_blocks(monkeypatch, bases)
     model, deterministic = _deterministic_edge_case()
     randomized = Policy.uniform(model.n_states, model.n_actions)
     for policy in (deterministic, randomized):
         sample_log_products(model, policy, n=200, paths=6000, seed=1)
-    # 6,000 paths at most 2,621 a block: three blocks of 2,000
-    assert sizes == [2000 * 200 * 8, 2000 * 200 * 16]
+    # 6,000 paths at most 2,621 a block: three blocks of 2,000, in one array per call
+    assert blocks == [2000] * 6
+    assert all(base is bases[i - i % 3] for i, base in enumerate(bases))
+    assert [bases[0].nbytes, bases[3].nbytes] == [2000 * 200 * 8, 2000 * 200 * 16]
 
 
-def test_deterministic_sampler_at_the_benchmark_size_maps_seven_even_blocks(monkeypatch):
+def test_deterministic_sampler_at_the_benchmark_size_allocates_seven_even_blocks(monkeypatch):
     # n = 200, 16,000 paths: at most 2,621 a block, so 7 blocks of 2,286 (the last 2,284)
-    sizes, blocks = _record_mappings(monkeypatch), _record_blocks(monkeypatch)
+    bases = []
+    blocks = _record_blocks(monkeypatch, bases)
     model, policy = _deterministic_edge_case()
     sample_log_products(model, policy, n=200, paths=16_000, seed=3)
-    assert sizes == [2286 * 200 * 8]
+    assert all(base is bases[0] for base in bases)
+    assert bases[0].nbytes == 2286 * 200 * 8
     assert blocks == [2286] * 6 + [2284]
 
 

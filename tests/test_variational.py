@@ -29,6 +29,7 @@ from growthcert import (
     stationarity_residual,
     twisted_occupation,
     validate,
+    variational,
 )
 from growthcert.errors import (
     DimensionMismatch,
@@ -283,6 +284,15 @@ def test_maximize_converges_and_certifies_its_gap(seed):
     assert_allclose(cert.primal_lower, objective_psi0(model, cert.eta), rtol=0, atol=0)
     assert_allclose(cert.dual_upper, dual_bound(model, cert.g), rtol=0, atol=0)
     assert stationarity_residual(cert.eta)[1] <= tol
+
+
+def test_maximize_closes_with_its_own_pair_values(monkeypatch):
+    def refuse(model, g):
+        raise AssertionError("dual_bound recomputes the pair values maximize holds")
+
+    monkeypatch.setattr(variational, "dual_bound", refuse)
+    cert = maximize(random_positive_model(3, s=8, a=3))
+    assert cert.gap <= 1e-6 * max(1.0, abs(cert.primal_lower))
 
 
 def test_maximize_requires_positive_model():
