@@ -105,7 +105,7 @@ def cw_bounds(model: MdpModel, f: np.ndarray) -> tuple[float, float]:
     if f.shape != (model.n_states,) or not np.all(np.isfinite(f)) or np.any(f <= 0):
         raise NonpositiveF("f must be strictly positive, finite, of length n_states")
     with np.errstate(over="ignore"):  # a ratio past the float range is +inf, a vacuous bound
-        ratios = apply_T(model, f)[0] / f
+        ratios = (model.gain @ f).max(axis=1) / f
     return float(ratios.min()), float(ratios.max())
 
 

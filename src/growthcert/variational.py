@@ -49,14 +49,13 @@ class OccupationMeasure:
     joint: np.ndarray
 
     def __post_init__(self):
-        joint = np.asarray(self.joint, dtype=float)
+        joint = np.array(self.joint, dtype=float)
         if joint.ndim != 3 or joint.shape[0] != joint.shape[2]:
             raise NotDistribution("joint must have shape (s, a, s)")
         if not np.all(np.isfinite(joint)) or np.any(joint < 0):
             raise NotDistribution("joint entries must be finite and >= 0")
         if abs(joint.sum() - 1.0) > MASS_TOL:
             raise NotDistribution(f"joint mass {joint.sum()!r} is not 1 within {MASS_TOL:g}")
-        joint = joint.copy()
         joint.flags.writeable = False
         object.__setattr__(self, "joint", joint)
 
@@ -123,12 +122,10 @@ def objective_psi0(model: MdpModel, eta: OccupationMeasure) -> float:
     if np.any(sup & (gain == 0)):
         return float("-inf")
     etat, _, cond = _conditionals(joint)
-    terms = np.where(
-        sup,
-        cond * (np.log(np.where(sup, cond, 1.0)) - np.log(np.where(gain > 0, gain, 1.0))),
-        0.0,
-    )
-    return -float(np.einsum("xu,xuy->", etat, terms))
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 off the support, zeroed below
+        cond *= np.log(cond) - np.log(gain)
+    cond[~sup] = 0.0
+    return -float(np.einsum("xu,xuy->", etat, cond))
 
 
 def stationarity_residual(eta: OccupationMeasure) -> tuple[np.ndarray, float]:
@@ -173,10 +170,11 @@ def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
     """Occupation measure of the psi-twisted optimal chain.
 
     The twisted kernel ``p*(y|x) = gain(x, v*(x), y) psi(y) / (rho psi(x))``
-    is row-stochastic exactly when ``(rho, psi)`` solves the eigenproblem;
-    its stationary measure, paired with the greedy policy, attains the
-    variational supremum.  ``model`` is the model that was solved; for a
-    regularized ``eig`` the twist uses its epsilon-smoothed companion.
+    is row-stochastic exactly when ``(rho, psi)`` solves the eigenproblem.
+    On the greedy ``v_star.choices()`` rows the measure is ``pi(x) p*(y|x)``,
+    ``pi`` the stationary law of the normalized twisted kernel; it attains
+    the variational supremum.  ``model`` is the model that was solved; for
+    a regularized ``eig`` the twist uses its epsilon-smoothed companion.
     """
     if not eig.converged:
         raise NotConverged("twisted occupation needs a converged eigensolution")
@@ -193,9 +191,10 @@ def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
             f"{np.abs(row_sums - 1.0).max():.3e}; eigensolution is inconsistent "
             "with this model"
         )
-    eta2 = np.zeros(model.gain.shape)
-    eta2[np.arange(s), choices, :] = P / row_sums[:, None]
-    return _stationary_measure(eig.v_star.phi, eta2)
+    P /= row_sums[:, None]
+    joint = np.zeros(model.gain.shape)
+    joint[np.arange(s), choices, :] = _stationary(P)[:, None] * P
+    return OccupationMeasure(joint)
 
 
 def random_feasible(model: MdpModel, seed: int) -> OccupationMeasure:
@@ -246,7 +245,8 @@ def _pair_values(log_gain: np.ndarray, g: np.ndarray):
     """``(L, e, norm)``: ``L[x, u] = log sum_y gain e^g - g[x]``, ``e / norm`` the Gibbs rows."""
     z = log_gain + g
     zmax = z.max(axis=2, keepdims=True)
-    e = np.exp(z - zmax)
+    z -= zmax
+    e = np.exp(z, out=z)
     norm = e.sum(axis=2)
     return zmax[:, :, 0] + np.log(norm) - g[:, None], e, norm
 

@@ -76,6 +76,15 @@ def test_occupation_measure_requires_unit_mass():
         OccupationMeasure(np.array([[[1.5, -0.5]]]))
 
 
+def test_occupation_measure_owns_a_read_only_copy():
+    joint = np.full((2, 1, 2), 0.25)
+    eta = OccupationMeasure(joint)
+    joint[0, 0, 0] = 0.5
+    assert_array_equal(eta.joint, np.full((2, 1, 2), 0.25))
+    with pytest.raises(ValueError, match="read-only"):
+        eta.joint[0, 0, 0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # relative_entropy
 # ---------------------------------------------------------------------------
@@ -395,6 +404,60 @@ def test_certificate_from_eigen_sandwich():
     assert cert.gap >= -1e-9
     assert cert.primal_lower - 1e-9 <= sol.log_rho <= cert.dual_upper + 1e-9
     assert cert.gap <= 1e-8
+
+
+def _reference_certificate(model: MdpModel, sol):
+    """``(primal, dual, joint, g)`` of ``certificate_from_eigen``, the long way.
+
+    A full ``(s, a, s)`` next-state law closed by ``_stationary_measure``,
+    logs behind ``np.where`` guards and a shifted copy of the pair exponents.
+    """
+    target = epsilon_model(model, sol.epsilon) if sol.regularized else model
+    gain, s, choices = target.gain, target.n_states, sol.v_star.choices()
+    P = gain[np.arange(s), choices] * sol.psi[None, :] / (sol.rho * sol.psi[:, None])
+    eta2 = np.zeros(gain.shape)
+    eta2[np.arange(s), choices] = P / P.sum(axis=1)[:, None]
+    joint = variational._stationary_measure(sol.v_star.phi, eta2).joint
+    sup = joint > 0
+    etat, _, cond = variational._conditionals(joint)
+    terms = np.where(
+        sup,
+        cond * (np.log(np.where(sup, cond, 1.0)) - np.log(np.where(gain > 0, gain, 1.0))),
+        0.0,
+    )
+    primal = -float(np.einsum("xu,xuy->", etat, terms))
+    g = np.log(sol.psi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.log(gain) + g
+        zmax = z.max(axis=2, keepdims=True)
+        L = zmax[:, :, 0] + np.log(np.exp(z - zmax).sum(axis=2)) - g[:, None]
+    dual = float(L[gain.any(axis=2)].max())
+    return primal, dual, joint, g
+
+
+_BITWISE_MODELS = (
+    [("positive", seed) for seed in range(10)] + [("positive-200x8", 7)]
+    + [(family, seed) for family in ("periodic", "zero-row", "near-decomposable")
+       for seed in range(5)]
+)
+
+
+@pytest.mark.parametrize("kind, seed", _BITWISE_MODELS)
+def test_certificate_from_eigen_matches_the_long_way_bit_for_bit(kind, seed):
+    if kind == "positive":
+        model = random_positive_model(seed)
+    elif kind == "positive-200x8":
+        model = random_positive_model(seed, s=200, a=8)
+    else:
+        model = fuzz_model(seed, kind)
+    sol = solve_eigen(model, eps_fallback=1e-6 if kind == "zero-row" else None)
+    assert sol.regularized == (kind == "zero-row")
+    cert = certificate_from_eigen(model, sol)
+    primal, dual, joint, g = _reference_certificate(model, sol)
+    bounds = np.array([cert.primal_lower, cert.dual_upper, cert.gap])
+    assert bounds.tobytes() == np.array([primal, dual, dual - primal]).tobytes()
+    assert cert.eta.joint.tobytes() == joint.tobytes()
+    assert cert.g.tobytes() == g.tobytes()
 
 
 # ---------------------------------------------------------------------------
