@@ -201,8 +201,6 @@ def _cmd_solve(args) -> tuple[str, int]:
         sol = solve_eigen(model, tol=args.tol, max_iter=args.max_iter,
                           eps_fallback=args.eps_fallback)
     except NoConvergence as exc:
-        if exc.solution is None:
-            raise
         sol = exc.solution
         error = {"type": "NoConvergence", "message": str(exc)}
         code = 3
@@ -332,9 +330,8 @@ def _cmd_eps_sweep(args) -> tuple[str, int]:
     points = epsilon_sweep(model, args.grid)
     lines = ["epsilon,lambda_eps,converged,iterations"]
     for pt in points:
-        lam = "" if pt.lambda_eps is None else jsonio.format_float(pt.lambda_eps)
         lines.append(
-            f"{jsonio.format_float(pt.epsilon)},{lam},"
+            f"{jsonio.format_float(pt.epsilon)},{jsonio.format_float(pt.lambda_eps)},"
             f"{'true' if pt.converged else 'false'},{pt.iterations}"
         )
     text = "\n".join(lines) + "\n"

@@ -21,10 +21,11 @@ suppressing the period-2 oscillation of pure power steps on periodic gain
 structures, and, once ``_POWER_STEPS`` of them leave a slowly mixing bracket
 open, shifted inverse steps on the greedy policy (Noda's iteration, with the
 greedy choice of Howard and Matheson's policy iteration), one dense linear
-solve each.  A fixed policy's linear gain matrix is solved directly: its
-Perron vector from an eigendecomposition is certified by the same bracket,
-and the loop only finishes the rare matrices whose bracket there is still
-too wide.  :func:`epsilon_sweep` solves the epsilon-smoothed companions
+solve each.  The loop always starts from the all-ones vector.  A fixed
+policy's linear gain matrix is solved directly: its Perron vector from an
+eigendecomposition is certified by the same bracket, and the loop solves
+the rare matrices whose bracket there is still too wide.
+:func:`epsilon_sweep` solves the epsilon-smoothed companions
 (:func:`model.epsilon_model`) along a decreasing grid.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,9 +131,9 @@ def _inverse_step(gain: np.ndarray, f: np.ndarray, choices: np.ndarray, sigma: f
     return y / y.max()
 
 
-def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: int,
-                         epsilon: float = 0.0) -> EigenSolution:
-    """The certified loop on ``(T f)(x) = max_u gain[x, u, :] @ f``, from the positive ``f``.
+def _certified_iteration(gain: np.ndarray, tol: float,
+                         max_iter: int) -> tuple[EigenSolution, str | None]:
+    """The certified loop on ``(T f)(x) = max_u gain[x, u, :] @ f``, from ``f = 1``.
 
     Each iteration applies ``T`` once and checks the bracket at ``f``.  It
     stops when the bracket closes, after ``max_iter`` iterations, before a
@@ -148,6 +149,7 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
     power-of-two iteration and stops at the first one equal to it.  Returns
     the solution and, when it did not converge, why the loop stopped.
     """
+    f = np.ones(gain.shape[0])
     k, last = 0, -math.inf  # last: lo at the last inverse step, None once they stop
     mark = None  # the f of the last power-of-two iteration after the inverse steps
     for iters in range(1, max_iter + 1):
@@ -201,7 +203,7 @@ def _certified_iteration(gain: np.ndarray, f: np.ndarray, tol: float, max_iter: 
     policy = Policy.deterministic(per_action.argmax(axis=1), gain.shape[1])
     return EigenSolution(rho=math.ldexp(rho, k), log_rho=log_rho, psi=f, v_star=policy,
                          cw_lower=math.ldexp(lo_k, k), cw_upper=math.ldexp(hi_k, k),
-                         iterations=iters, converged=ok, epsilon=epsilon), why
+                         iterations=iters, converged=ok), why
 
 
 def solve_eigen(
@@ -247,7 +249,8 @@ def solve_eigen(
                 "gain graph is not strongly connected; pass eps_fallback to solve "
                 "the smoothed companion model instead"
             )
-    sol, why = _certified_iteration(model.gain, np.ones(model.n_states), tol, max_iter, epsilon)
+    sol, why = _certified_iteration(model.gain, tol, max_iter)
+    sol = replace(sol, epsilon=epsilon)
     if not sol.converged:
         lo, hi = sol.cw_lower, sol.cw_upper
         raise NoConvergence(f"eigen iteration did not reach tolerance {tol:g} {why} "
@@ -261,8 +264,8 @@ def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
 
     The modulus of the top eigenvector of each ``M_p`` is its Perron vector,
     also when a periodic ``M_p`` has several eigenvalues of top modulus.
-    Matrices whose bracket there is wider than ``tol`` go on in the damped
-    loop from that vector (from ones if it has a zero entry).  Returns
+    Matrices whose bracket there is wider than ``tol``, or undefined at a zero
+    entry, are solved by the certified loop instead.  Returns
     ``(gains, converged, stops)``, each gain the log of its bracket's
     geometric mean, and ``stops`` mapping each matrix the loop ran on to its
     ``(solution, why)``.
@@ -273,15 +276,13 @@ def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
     top = np.abs(vals).argmax(axis=1)
     f = np.abs(np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f /= f.max(axis=1, keepdims=True)
-        f[~(f > 0).all(axis=1)] = 1.0
         ratios = np.einsum("pxy,py->px", mats, f) / f
         lo, hi = ratios.min(axis=1), ratios.max(axis=1)
         gains = 0.5 * (np.log(lo) + np.log(hi))
     done = (lo > 0) & (hi - lo <= tol * lo)
     stops = {}
     for p in np.flatnonzero(~done):
-        sol, _ = stops[p] = _certified_iteration(mats[p][:, None, :], f[p], tol, max_iter)
+        sol, _ = stops[p] = _certified_iteration(mats[p][:, None, :], tol, max_iter)
         gains[p], done[p] = sol.log_rho, sol.converged
     return gains, done, stops
 
@@ -361,7 +362,7 @@ class SweepPoint:
     """One epsilon grid point of :func:`epsilon_sweep`."""
 
     epsilon: float
-    lambda_eps: float | None
+    lambda_eps: float
     converged: bool
     iterations: int
 
@@ -369,10 +370,11 @@ class SweepPoint:
 def epsilon_sweep(model: MdpModel, grid) -> list[SweepPoint]:
     """Growth rates of the smoothed companions along a decreasing epsilon grid.
 
-    Grid points where the solver fails are marked rather than aborting the
-    sweep.  The successful points are checked to be non-increasing as
-    epsilon decreases (within 1e-9 slack), which is a structural property of
-    the smoothing; a rise raises :class:`NoConvergence`.
+    A grid point where the solver stops is marked unconverged, with the rate
+    of its partial solution, rather than aborting the sweep.  The converged
+    points are checked to be non-increasing as epsilon decreases (within
+    1e-9 slack), which is a structural property of the smoothing; a rise
+    raises :class:`NoConvergence`.
     """
     grid = [float(e) for e in grid]
     if not grid or any(not 0 < e < math.inf for e in grid):
@@ -385,9 +387,8 @@ def epsilon_sweep(model: MdpModel, grid) -> list[SweepPoint]:
             sol = solve_eigen(epsilon_model(model, eps))
             points.append(SweepPoint(eps, sol.log_rho, True, sol.iterations))
         except NoConvergence as exc:
-            lam = exc.solution.log_rho if exc.solution is not None else None
-            points.append(SweepPoint(eps, lam, False, exc.iterations))
-    good = [p for p in points if p.converged and p.lambda_eps is not None]
+            points.append(SweepPoint(eps, exc.solution.log_rho, False, exc.iterations))
+    good = [p for p in points if p.converged]
     for a, b in zip(good, good[1:]):
         if b.lambda_eps > a.lambda_eps + 1e-9:
             raise NoConvergence(

@@ -388,7 +388,7 @@ def gen_portfolio_model(
     if np.any(denom <= 0):
         raise ZeroDenominator("normalizer sum_y Q(x,y) mu(x,a,y) vanished")
     kernel = Q[:, None, :] * mu / denom[:, :, None]
-    weights = np.broadcast_to(denom[:, :, None], kernel.shape).copy()
+    weights = np.broadcast_to(denom[:, :, None], kernel.shape)
     grid_desc = "; ".join(np.array2string(a_vec, separator=",") for a_vec in acts)
     return MdpModel(
         states=tuple(f"x{i}" for i in range(s)),
@@ -478,7 +478,7 @@ def epsilon_model(model: MdpModel, epsilon: float) -> MdpModel:
         )
     uniform = np.full(model.n_states, 1.0 / model.n_states)
     kernel = (gain + eps * uniform[None, None, :]) / (a_xu + eps)[:, :, None]
-    weights = np.broadcast_to((a_xu + eps)[:, :, None], kernel.shape).copy()
+    weights = np.broadcast_to((a_xu + eps)[:, :, None], kernel.shape)
     return MdpModel(
         states=model.states,
         actions=model.actions,

@@ -165,8 +165,8 @@ def _tables(model: MdpModel, policy: Policy):
         actions = policy.choices()
         states = np.arange(model.n_states)
         kernel, w = kernel[states, actions], w[states, actions]
-    w = w.ravel()
-    log_w = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, the marker
+        log_w = np.log(w.ravel())
     return actions, _GuideTable(kernel), log_w
 
 

@@ -176,6 +176,21 @@ def test_eps_sweep_writes_matching_csv(capsys, tmp_path):
     assert all(r[2] == "true" for r in rows)
 
 
+def test_eps_sweep_writes_a_stopped_point_with_its_partial_rate(capsys, tmp_path):
+    # the smoothed companion of this wide draw stops at a repeating psi
+    path = str(tmp_path / "wide3.json")
+    save_model(fuzz_model(3, "wide"), path)
+    out = tmp_path / "sweep.csv"
+    code, text = _invoke(capsys, "eps-sweep", path, "--grid", "1e-3", "--out", str(out))
+    assert code == 0
+    assert out.read_text() == text
+    header, row = text.strip().splitlines()
+    assert header == "epsilon,lambda_eps,converged,iterations"
+    epsilon, lam, converged, iterations = row.split(",")
+    assert float(epsilon) == 1e-3 and converged == "false"
+    assert math.isfinite(float(lam)) and int(iterations) > 0
+
+
 def test_gen_exit_and_portfolio_families(capsys, tmp_path):
     epath = str(tmp_path / "exit.json")
     code, doc = _invoke_json(

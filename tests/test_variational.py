@@ -16,6 +16,7 @@ from growthcert import (
     Certificate,
     MdpModel,
     OccupationMeasure,
+    SweepPoint,
     certificate_from_eigen,
     dual_bound,
     eigensolver,
@@ -538,6 +539,18 @@ def test_sweep_single_state_closed_form():
     points = epsilon_sweep(model, [0.1, 0.01])
     for pt in points:
         assert_allclose(pt.lambda_eps, math.log(w + pt.epsilon), rtol=0, atol=1e-10)
+
+
+def test_sweep_marks_a_stopped_point_with_its_partial_rate():
+    # the smoothed wide draw stops at a repeating psi; the point keeps the
+    # rate of the partial solution the stop carries
+    model = fuzz_model(3, "wide")
+    (point,) = epsilon_sweep(model, [1e-3])
+    with pytest.raises(NoConvergence, match="psi repeats bitwise") as exc_info:
+        solve_eigen(epsilon_model(model, 1e-3))
+    partial = exc_info.value.solution
+    assert point == SweepPoint(1e-3, partial.log_rho, False, partial.iterations)
+    assert isinstance(point.lambda_eps, float) and math.isfinite(point.lambda_eps)
 
 
 def test_sweep_rising_rates_raise_no_convergence(monkeypatch):
