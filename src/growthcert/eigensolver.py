@@ -14,19 +14,20 @@ any strictly positive f,
 
     min_x (T f)(x) / f(x)  <=  rho  <=  max_x (T f)(x) / f(x),
 
-and is accepted once the bracket's relative width drops below the
-tolerance.  One loop (:func:`_certified_iteration`) closes it: damped power
-steps ``f <- (T f + f) / ||.||``, whose shift keeps the eigenvector while
-suppressing the period-2 oscillation of pure power steps on periodic gain
-structures, and, once ``_POWER_STEPS`` of them leave a slowly mixing bracket
-open, shifted inverse steps on the greedy policy (Noda's iteration, with the
-greedy choice of Howard and Matheson's policy iteration), one dense linear
-solve each.  The loop always starts from the all-ones vector.  A fixed
+and is accepted once the bracket's relative width drops below the tolerance.
+One loop (:func:`_certified_iteration`) closes it, from the all-ones vector:
+damped power steps ``f <- (T f + f) / ||.||``, whose shift keeps the
+eigenvector while suppressing the period-2 oscillation of pure power steps on
+periodic gain structures, and, once ``_POWER_STEPS`` of them leave a slowly
+mixing bracket open, shifted inverse steps on the greedy policy (Noda's
+iteration, with the greedy choice of Howard and Matheson's policy iteration),
+one dense linear solve each.  It takes the bracket once per iteration,
+unscaled; ``2**-k`` from it scales only the damped step and the rate.  A fixed
 policy's linear gain matrix is solved directly: its Perron vector from an
-eigendecomposition is certified by the same bracket, and the loop solves
-the rare matrices whose bracket there is still too wide.
-:func:`epsilon_sweep` solves the epsilon-smoothed companions
-(:func:`model.epsilon_model`) along a decreasing grid.
+eigendecomposition is certified by the same bracket, and the loop solves the
+rare matrices whose bracket there is still too wide.  :func:`epsilon_sweep`
+solves the epsilon-smoothed companions (:func:`model.epsilon_model`) along a
+decreasing grid.
 """
 
 from __future__ import annotations
@@ -135,19 +136,20 @@ def _certified_iteration(gain: np.ndarray, tol: float,
                          max_iter: int) -> tuple[EigenSolution, str | None]:
     """The certified loop on ``(T f)(x) = max_u gain[x, u, :] @ f``, from ``f = 1``.
 
-    Each iteration applies ``T`` once and checks the bracket at ``f``.  It
-    stops when the bracket closes, after ``max_iter`` iterations, before a
-    damped step that would underflow an entry of ``f`` to 0, or at an ``f``
-    that repeats bitwise, so ``psi`` is always the vector its bracket belongs
-    to.  Damped steps run on ``2**-k T``, with ``k`` taken from the bracket
-    unless it overlaps [1/2, 2], since the shift ``+ f`` suits ``rho`` near 1.
-    After ``_POWER_STEPS`` iterations come shifted inverse steps on the greedy
-    policy, with ``k`` re-taken at each check, until one fails or does not
-    raise the lower end; then damped steps.  From there the next ``f``
-    depends on ``f`` alone, so a repeated ``f`` means a cycle that never
-    closes the bracket: Brent's cycle search keeps the ``f`` of the last
-    power-of-two iteration and stops at the first one equal to it.  Returns
-    the solution and, when it did not converge, why the loop stopped.
+    Each iteration applies ``T`` once and takes the bracket at ``f`` once,
+    unscaled, for the stop test and the report.  It stops when the bracket
+    closes, after ``max_iter`` iterations, before a damped step that would
+    underflow an entry of ``f`` to 0, or at an ``f`` that repeats bitwise, so
+    ``psi`` is always the vector its bracket belongs to.  Damped steps run on
+    ``2**-k T``, with ``k`` taken from the bracket unless it overlaps [1/2, 2],
+    since the shift ``+ f`` suits ``rho`` near 1; ``2**-k`` scales only those
+    and the final bracket, for the rate.  After ``_POWER_STEPS`` iterations come
+    shifted inverse steps on the greedy policy, with ``k`` re-taken at each
+    check, until one fails or does not raise the lower end; then damped steps.
+    From there the next ``f`` depends on ``f`` alone, so a repeated ``f`` means
+    a cycle that never closes the bracket: Brent's cycle search keeps the ``f``
+    of the last power-of-two iteration and stops at the first one equal to it.
+    Returns the solution and, when it did not converge, why the loop stopped.
     """
     f = np.ones(gain.shape[0])
     k, last = 0, -math.inf  # last: lo at the last inverse step, None once they stop
@@ -155,20 +157,15 @@ def _certified_iteration(gain: np.ndarray, tol: float,
     for iters in range(1, max_iter + 1):
         per_action = gain @ f
         tf = per_action.max(axis=1)
+        with np.errstate(over="ignore"):  # a ratio past the float range is +inf
+            ratios = tf / f
+        lo, sigma = float(ratios.min()), float(ratios.max())
         inverse = iters > _POWER_STEPS and last is not None
-        if iters == 1 or inverse:  # the scale from the unscaled bracket
-            with np.errstate(over="ignore"):  # a ratio past the float range is +inf
-                ratios = tf / f
-            lo, sigma = float(ratios.min()), float(ratios.max())
+        if iters == 1 or inverse:  # the scale from the bracket
             k = 0
             if 0 < sigma < math.inf and not (lo <= 2 and sigma >= 0.5):
                 k = round(math.log2(sigma) if lo <= 0 else (math.log2(lo) + math.log2(sigma)) / 2)
-        if k:
-            tf = np.ldexp(tf, -k)
-        with np.errstate(over="ignore"):
-            ratios = tf / f
-        lo_k, hi_k = float(ratios.min()), float(ratios.max())
-        if (ok := lo_k > 0 and hi_k - lo_k <= tol * lo_k) or iters == max_iter:
+        if (ok := lo > 0 and sigma - lo <= tol * lo) or iters == max_iter:
             why = None if ok else f"within {max_iter} iterations"
             break
         if last is None:
@@ -185,12 +182,14 @@ def _certified_iteration(gain: np.ndarray, tol: float,
                 f, last = y, lo
                 continue
             last = None
-        g = tf + f
+        g = (np.ldexp(tf, -k) if k else tf) + f
         g /= g.max()
         if not g.min() > 0:
             why = f"after {iters} iterations: the next step underflows an entry of psi to 0"
             break
         f = g
+    with np.errstate(over="ignore"):  # an end past the float range is +inf, as a ratio is
+        lo_k, hi_k = np.ldexp((lo, sigma), -k).tolist()
     rho = 0.0
     if lo_k > 0:
         e = 0
@@ -202,7 +201,7 @@ def _certified_iteration(gain: np.ndarray, tol: float,
     log_rho = float(np.log(rho)) + k * math.log(2) if rho > 0 else -math.inf
     policy = Policy.deterministic(per_action.argmax(axis=1), gain.shape[1])
     return EigenSolution(rho=math.ldexp(rho, k), log_rho=log_rho, psi=f, v_star=policy,
-                         cw_lower=math.ldexp(lo_k, k), cw_upper=math.ldexp(hi_k, k),
+                         cw_lower=lo, cw_upper=sigma,
                          iterations=iters, converged=ok), why
 
 

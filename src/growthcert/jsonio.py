@@ -103,12 +103,12 @@ def dump(value, path) -> None:
 
 
 def load(path, what: str):
-    """Parse the JSON document at ``path``; read and syntax failures are :class:`ParseError`."""
+    """Parse ``path``; every read, decode, nesting and syntax failure is a :class:`ParseError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column "
                          f"{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: cannot read {what}: {exc}") from exc

@@ -254,6 +254,29 @@ def test_mc_policy_shape_mismatch_exits_2_typed(capsys, tmp_path):
                             "message": "policy shape (3, 1) does not match model (2, 1)"}
 
 
+def _reader_error(capsys, tmp_path, command, content) -> dict:
+    """The error of ``command`` on an input file holding ``content``: exit 2, one document."""
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    path, out = str(path), str(tmp_path / "out.json")
+    fib = _write_fib(capsys, tmp_path) if command in ("mc", "bounds") else None
+    argv = {"validate": ["validate", path],
+            "bounds": ["bounds", fib, "--f", path],
+            "mc": ["mc", fib, "--policy", path, "--n", "5", "--paths", "40"],
+            "exit": ["gen", "exit", "--p", "1,0,0;0.5,0,0.5;0,0,1", "--s0", "a", "--out", out],
+            "matrix": ["gen", "exit", "--p", "1,x;0,1", "--s0", "0", "--out", out],
+            "adjacency": ["gen", "graph", "--adjacency", "1x;10", "--out", out],
+            "portfolio": ["gen", "portfolio", "--q", "1.0", "--theta", "2.0", "--r-bank", "0.05",
+                          "--grid", "0.0;1.0", "--support", path, "--out", out]}[command]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    return json.loads(captured.out)["error"]  # exactly one document
+
+
 @pytest.mark.parametrize("command, text, expected", [
     # numbers written as JSON strings: numpy parses "1.0" under dtype=float
     ("validate", '{"states": ["a"], "actions": ["u"], "kernel": [[["1.0"]]], '
@@ -273,26 +296,37 @@ def test_mc_policy_shape_mismatch_exits_2_typed(capsys, tmp_path):
     ("portfolio", '[[[[1.0, [1.1]]]], [[[1.0, [1.1]]]]]', "DimensionMismatch"),
 ])
 def test_malformed_reader_input_exits_2_typed(capsys, tmp_path, command, text, expected):
-    path = tmp_path / "input.json"
-    if text is not None:
-        path.write_text(text)
-    out = str(tmp_path / "out.json")
-    if command == "mc":
-        argv = ["mc", _write_fib(capsys, tmp_path), "--policy", str(path), "--n", "5",
-                "--paths", "40"]
-    elif command == "bounds":
-        argv = ["bounds", _write_fib(capsys, tmp_path), "--f", str(path)]
-    elif command == "validate":
-        argv = ["validate", str(path)]
-    elif command == "exit":
-        argv = ["gen", "exit", "--p", "1,0,0;0.5,0,0.5;0,0,1", "--s0", "a", "--out", out]
-    else:
-        argv = ["gen", "portfolio", "--q", "1.0", "--theta", "2.0", "--r-bank", "0.05",
-                "--grid", "0.0;1.0", "--support", str(path), "--out", out]
-    code = run(argv)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.err == ""
-    assert json.loads(captured.out)["error"]["type"] == expected  # exactly one document
+    assert _reader_error(capsys, tmp_path, command, text)["type"] == expected
+
+
+_LABELS_AND_TENSORS = '"actions": ["u"], "kernel": [[[1.0]]], "weights": [[[1.0]]]'
+_DEEP = "[" * 100_000 + "]" * 100_000  # past the parser's nesting limit on every Python
+
+
+@pytest.mark.parametrize("command, content, expected, message", [
+    ("validate", "[]", "SchemaError", "top level must be an object"),
+    ("validate", '{"states": [0], ' + _LABELS_AND_TENSORS + "}", "SchemaError",
+     "'states' must be a list of strings"),
+    ("validate", '{"states": ["a"], "metadata": 1, ' + _LABELS_AND_TENSORS + "}", "SchemaError",
+     "'metadata' must be a string"),
+    ("validate", '{"states": ["a"], "actions": ["u"], "kernel": [[1.0]], "weights": [[[1.0]]]}',
+     "SchemaError", "'kernel' must be a rank-3 tensor"),
+    ("bounds", '{"f": [1.0, 1.0]}', "SchemaError", "vector file must be a JSON array"),
+    ("mc", "[[1.0], [1.0]]", "SchemaError", "policy file must be an object with field 'phi'"),
+    ("matrix", None, "SchemaError", "cannot parse matrix"),
+    ("adjacency", None, "SchemaError", "cannot parse adjacency"),
+    # not UTF-8, or nested past the parser's limit: no traceback, one ParseError document
+    ("validate", b'{"states": ["\xff"]}', "ParseError", "cannot read model file"),
+    ("mc", b'{"phi": [["\xff"]]}', "ParseError", "cannot read policy file"),
+    ("bounds", b"[1.0, \xff]", "ParseError", "cannot read vector file"),
+    ("validate", _DEEP, "ParseError", "cannot read model file"),
+    ("mc", _DEEP, "ParseError", "cannot read policy file"),
+    ("bounds", _DEEP, "ParseError", "cannot read vector file"),
+], ids=lambda value: "deep" if value is _DEEP else None)
+def test_input_checks_exit_2_with_their_typed_document(capsys, tmp_path, command, content,
+                                                      expected, message):
+    error = _reader_error(capsys, tmp_path, command, content)
+    assert error["type"] == expected and message in error["message"], error
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
@@ -397,6 +431,19 @@ def test_variational_closure_with_a_failed_stationary_solve_exits_3(capsys, tmp_
         assert doc["gap"] > 0 and doc["value"] <= doc["dual_upper"]
     else:
         assert list(doc) == ["error"]
+
+
+def test_stopped_wide_solve_reports_a_numeric_lambda(capsys, tmp_path):
+    # the scaled 2**-k T f underflows in one entry; the bracket on T f does not
+    path = str(tmp_path / "model.json")
+    save_model(fuzz_model(11, "wide"), path)
+    code = run(["solve", path])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 3 and captured.err == ""
+    assert doc["converged"] is False and doc["error"]["type"] == "NoConvergence"
+    assert isinstance(doc["lambda"], float) and math.isfinite(doc["lambda"])
+    assert 0 < doc["cw_lower"] <= doc["rho"] <= doc["cw_upper"]
 
 
 @pytest.mark.parametrize("seed", [3, 10, 55])

@@ -236,6 +236,20 @@ def test_solve_stops_at_an_underflowed_psi_entry():
     assert cw_bounds(model, partial.psi) == err.bracket == (partial.cw_lower, partial.cw_upper)
 
 
+@pytest.mark.parametrize("seed", [11, 35, 230])
+def test_solve_stopped_at_an_underflow_keeps_a_positive_lower_end(seed):
+    # an entry of the scaled 2**-k T f underflows to 0 here; the bracket is
+    # taken on T f itself, so its lower end and the rate stay finite and positive
+    model = fuzz_model(seed, "wide")
+    with pytest.raises(NoConvergence, match="underflows an entry of psi") as exc_info:
+        solve_eigen(model)
+    err = exc_info.value
+    partial = err.solution
+    assert partial.cw_lower > 0 and math.isfinite(partial.log_rho)
+    assert math.log(partial.cw_lower) <= partial.log_rho <= math.log(partial.cw_upper)
+    assert cw_bounds(model, partial.psi) == err.bracket == (partial.cw_lower, partial.cw_upper)
+
+
 @pytest.mark.parametrize("seed", [3, 10, 55])
 def test_solve_stops_at_a_repeating_psi(seed):
     # once the inverse steps have stopped, psi cycles bitwise (periods 2, 6 and 3);
@@ -606,6 +620,12 @@ def test_enumerate_marks_reducible_policies():
     gains = dict(table)
     assert gains[(0, 0)] is None  # two disjoint self-loops never mix
     assert_allclose(best_gain, 0.0, rtol=0, atol=1e-10)
+
+
+def test_enumerate_refuses_when_every_policy_is_reducible():
+    model = gen_graph_model([np.eye(2, dtype=int)])
+    with pytest.raises(ReducibleGain, match="every deterministic policy"):
+        enumerate_policy_gains(model)
 
 
 def test_enumerate_cap_guards_blowup():

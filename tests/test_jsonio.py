@@ -76,6 +76,11 @@ def test_non_finite_arrays_keep_per_element_path():
         jsonio.dumps({"x": np.array([1.0, np.nan])})
 
 
+def test_unknown_objects_are_refused():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        jsonio.dumps(object())
+
+
 def test_integer_and_boolean_arrays_unchanged():
     assert jsonio.dumps(np.array([[1, -2], [3, 40]])) == "[[1, -2], [3, 40]]\n"
     assert jsonio.dumps(np.array([2 ** 63 - 1], dtype=np.int64)) == "[9223372036854775807]\n"

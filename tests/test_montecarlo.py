@@ -576,6 +576,12 @@ def test_estimate_dead_batch_gives_vacuous_stderr():
     assert est.stderr == math.inf
 
 
+def test_sample_log_products_refuses_zero_paths():
+    model = _cycle_model(0.0)
+    with pytest.raises(ValueError, match="paths must be >= 1"):
+        sample_log_products(model, _trivial(model), n=5, paths=0)
+
+
 def test_estimate_validates_batching():
     model = _cycle_model(0.0)
     with pytest.raises(ValueError, match="batches"):
