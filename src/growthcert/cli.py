@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, jsonio
 from .eigensolver import cw_bounds, epsilon_sweep, solve_eigen
-from .errors import GrowthcertError, NoConvergence, SchemaError, ZeroGainRow
+from .errors import GrowthcertError, NoConvergence, SchemaError
 from .model import (
     Policy,
     _number_array,
@@ -247,12 +247,6 @@ def _cmd_variational(args) -> tuple[str, int]:
     error = None
     try:
         cert = maximize(model, iters=args.iters, tol=args.tol)
-    except ZeroGainRow as exc:
-        raise ZeroGainRow(
-            "variational needs strictly positive kernel and weights; "
-            "`growthcert solve MODEL --eps-fallback EPS` certifies the rate of "
-            "the epsilon-smoothed model instead"
-        ) from exc
     except NoConvergence as exc:
         if exc.certificate is None:  # nothing closed: the error document alone
             raise

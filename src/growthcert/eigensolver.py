@@ -40,7 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoConvergence, NonpositiveF, ReducibleGain, TooManyPolicies
-from .model import MdpModel, Policy, _check_policy, _strongly_connected, epsilon_model, validate
+from .model import (MdpModel, Policy, _check_policy, _check_solvable, _strongly_connected,
+                    epsilon_model, validate)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -213,18 +214,16 @@ def solve_eigen(
 ) -> EigenSolution:
     """Certified principal eigenpair of the growth operator.
 
-    Models with strictly positive kernel and weights are solved directly.
-    When either positivity fails and ``eps_fallback`` is given, the
-    epsilon-smoothed companion model (see :func:`model.epsilon_model`) is
+    When kernel or weights have a zero entry and ``eps_fallback`` is given,
+    the epsilon-smoothed companion model (see :func:`model.epsilon_model`) is
     solved instead and the result, also one carried by :class:`NoConvergence`,
     records that ``epsilon`` (``regularized``) -- its rate upper-bounds the
     original one within O(epsilon).  :func:`variational.certificate_from_eigen`
     takes the original model and certifies against the companion itself.
-    Without a fallback the solver still runs whenever the gain graph is
-    strongly connected and refuses (:class:`ReducibleGain`) otherwise, since
-    the ratio bracket cannot close on a reducible gain structure.  A
-    non-finite or non-positive ``tol`` or a ``max_iter`` below 1 is a
-    ``ValueError``.
+    Otherwise a gain graph that is not strongly connected, or has a dead
+    state, is refused (:class:`ReducibleGain`), as :func:`variational.maximize`
+    refuses it: the ratio bracket cannot close there.  A non-finite or
+    non-positive ``tol`` or a ``max_iter`` below 1 is a ``ValueError``.
 
     The loop starts at the all-ones vector; ``iterations`` counts its bracket
     checks, at most ``max_iter``.  A bracket still open then, or a damped step
@@ -232,22 +231,15 @@ def solve_eigen(
     :class:`NoConvergence` carrying the last positive ``psi`` and its bracket.
     """
     report = validate(model)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be finite and > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_budget(tol, max_iter)
     if eps_fallback is not None and not (0 < eps_fallback < math.inf):
         raise ValueError("eps_fallback must be finite and > 0 when given")
     epsilon = 0.0
-    if not (report.a0_plus and report.a1_plus):
-        if eps_fallback is not None:
-            epsilon = float(eps_fallback)
-            model = epsilon_model(model, epsilon)
-        elif not report.gain_irreducible or report.dead_states:
-            raise ReducibleGain(
-                "gain graph is not strongly connected; pass eps_fallback to solve "
-                "the smoothed companion model instead"
-            )
+    if eps_fallback is not None and not (report.a0_plus and report.a1_plus):
+        epsilon = float(eps_fallback)
+        model = epsilon_model(model, epsilon)
+    else:
+        _check_solvable(model)
     sol, why = _certified_iteration(model.gain, tol, max_iter)
     sol = replace(sol, epsilon=epsilon)
     if not sol.converged:
@@ -256,6 +248,12 @@ def solve_eigen(
                             f"(bracket [{lo:g}, {hi:g}])",
                             iterations=sol.iterations, bracket=(lo, hi), solution=sol)
     return sol
+
+
+def _check_budget(tol: float, max_iter: int) -> None:
+    """``ValueError`` unless ``tol`` is finite and > 0 and ``max_iter`` is at least 1."""
+    if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
+        raise ValueError("tol must be finite and > 0, and max_iter >= 1")
 
 
 def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
@@ -269,8 +267,6 @@ def _perron_gains(mats: np.ndarray, tol: float, max_iter: int):
     geometric mean, and ``stops`` mapping each matrix the loop ran on to its
     ``(solution, why)``.
     """
-    if not (tol > 0 and math.isfinite(tol)) or max_iter < 1:
-        raise ValueError("tol must be finite and > 0, and max_iter >= 1")
     vals, vecs = np.linalg.eig(mats)
     top = np.abs(vals).argmax(axis=1)
     f = np.abs(np.take_along_axis(vecs, top[:, None, None], axis=2)[:, :, 0])
@@ -303,6 +299,7 @@ def fixed_policy_gain(
     non-finite or non-positive ``tol`` or a ``max_iter`` below 1 is a
     ``ValueError``, here and in :func:`enumerate_policy_gains`.
     """
+    _check_budget(tol, max_iter)
     _check_policy(model, phi)
     mat = np.einsum("xu,xuy->xy", phi.phi, model.gain)
     if not _strongly_connected(mat > 0):
@@ -330,6 +327,7 @@ def enumerate_policy_gains(
     a ``None`` gain (no positive vector closes their bracket) and are skipped
     for the maximum; ties go to the lexicographically first policy.
     """
+    _check_budget(tol, max_iter)
     s, a = model.n_states, model.n_actions
     total = a**s
     if total > cap:

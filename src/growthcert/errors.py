@@ -53,7 +53,7 @@ class SchemaError(GrowthcertError, ValueError):
 
 
 class NonpositiveF(GrowthcertError, ValueError):
-    """A test vector required to be strictly positive has a entry <= 0."""
+    """A test vector required to be strictly positive has an entry <= 0."""
 
 
 class NotDistribution(GrowthcertError, ValueError):

@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatch,
     NonpositiveWealthFactor,
     NotStochastic,
+    ReducibleGain,
     SchemaError,
     ZeroDenominator,
     ZeroGainRow,
@@ -197,6 +198,13 @@ def validate(model: MdpModel) -> FeasibilityReport:
     rows it renormalized are reported as violations, not errors.
     """
     return model.report
+
+
+def _check_solvable(model: MdpModel) -> None:
+    """Refuse (:class:`ReducibleGain`) a gain graph not strongly connected or with a dead state."""
+    if not model.report.gain_irreducible or model.report.dead_states:
+        raise ReducibleGain("gain graph is not strongly connected; pass eps_fallback to solve "
+                            "the smoothed companion model instead")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ objective, feasibility utilities, the attaining measure built from a solved
 eigenpair (the psi-twisted chain), the dual upper bound
 ``max_x [log (T e^g)(x) - g(x)]``, and a maximizer that minimizes a soft-max
 smoothing of that bound by Newton's method and reads a stationary measure
-off its solution, so that each run returns both sides of the bracket.  The
+off its solution, so that each run returns both sides of the bracket.  As
+``Psi0`` is -inf off the gain support, no positivity is needed.  The
 module takes eigensolutions as data and never calls the eigensolver, so the
 two routes check each other; a regularized eigensolution is certified against
 the epsilon-smoothed companion (:func:`model.epsilon_model`) it solves.
@@ -32,7 +33,7 @@ from .errors import (
     SingularChain,
     ZeroGainRow,
 )
-from .model import MdpModel, _check_policy, epsilon_model, validate
+from .model import MdpModel, _check_policy, _check_solvable, epsilon_model, validate
 
 MASS_TOL = 1e-12
 
@@ -234,20 +235,23 @@ def dual_bound(model: MdpModel, g: np.ndarray) -> float:
     g = np.asarray(g, dtype=float)
     if g.shape != (model.n_states,) or not np.all(np.isfinite(g)):
         raise NotDistribution(f"g must be a finite vector of length {model.n_states}")
-    live = model.gain.any(axis=2)
-    if not live.any(axis=1).all():
+    if validate(model).dead_states:
         return float("inf")
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0; a dead row's NaN is masked
-        return float(_pair_values(np.log(model.gain), g)[0][live].max())
+    with np.errstate(divide="ignore"):  # log 0 off the gain support: a dead pair's L is -inf
+        return float(_pair_values(np.log(model.gain), g)[0].max())
 
 
 def _pair_values(log_gain: np.ndarray, g: np.ndarray):
-    """``(L, e, norm)``: ``L[x, u] = log sum_y gain e^g - g[x]``, ``e / norm`` the Gibbs rows."""
+    """``(L, e, norm)``: ``L[x, u] = log sum_y gain e^g - g[x]``, ``e / norm`` the Gibbs rows.
+
+    A dead pair (gain row all zero) has ``L = -inf`` and a zero Gibbs row.
+    """
     z = log_gain + g
     zmax = z.max(axis=2, keepdims=True)
-    z -= zmax
+    z -= np.maximum(zmax, np.finfo(float).min)  # a finite shift: a dead row stays -inf, not NaN
     e = np.exp(z, out=z)
     norm = e.sum(axis=2)
+    np.maximum(norm, 1.0, out=norm)  # a live row sums to >= 1 (its top is exp(0)); a dead one, 0
     return zmax[:, :, 0] + np.log(norm) - g[:, None], e, norm
 
 
@@ -287,20 +291,15 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
     fails or gives a non-finite step) and the certificate closed at that
     ``g`` is still too wide.  A closure whose stationary solve fails (a
     nearly decomposable chain) raises :class:`NoConvergence` too, carrying
-    the last certificate closed before it, or none.  A non-finite or
-    non-positive ``tol``, or ``iters`` below 1, is a ``ValueError``.
+    the last certificate closed before it, or none.  A model the eigensolver
+    refuses without a fallback raises the same :class:`ReducibleGain`.  A
+    non-finite or non-positive ``tol``, or ``iters`` below 1, is a ``ValueError``.
     """
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError("tol must be finite and > 0")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    report = validate(model)
-    if not (report.a0_plus and report.a1_plus):
-        raise ZeroGainRow(
-            "maximizer needs strictly positive kernel and weights; smooth the "
-            "model first (epsilon_model)"
-        )
-    log_gain = np.log(model.gain)
+    if not (tol > 0 and np.isfinite(tol)) or iters < 1:
+        raise ValueError("tol must be finite and > 0, and iters >= 1")
+    _check_solvable(model)
+    with np.errstate(divide="ignore"):  # log 0 = -inf off the gain support
+        log_gain = np.log(model.gain)
     s = model.n_states
     g = np.zeros(s)
     tau, used, cert = 1.0, 0, None
@@ -346,7 +345,7 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
                 certificate=cert,
             ) from exc
         value = objective_psi0(model, eta)
-        dual = float(L.max())  # dual_bound(model, g): every pair of a positive model is live
+        dual = float(L.max())  # dual_bound(model, g): every state has a live pair
         cert = Certificate(primal_lower=value, dual_upper=dual, gap=dual - value, eta=eta, g=g)
         if cert.gap <= tol * max(1.0, abs(value)):
             return cert

@@ -105,6 +105,11 @@ def fib_model() -> MdpModel:
     return gen_graph_model([FIB_ADJACENCY])
 
 
+def split_graph_model() -> MdpModel:
+    """Vertices 0 and 1 joined, vertex 2 on its own loop: a gain graph not strongly connected."""
+    return gen_graph_model([np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]])])
+
+
 def two_graph_model() -> MdpModel:
     """Two nested action graphs on two vertices (edge set 1 inside edge set 2)."""
     g1 = np.array([[0, 1], [1, 0]])

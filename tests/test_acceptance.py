@@ -134,6 +134,8 @@ def test_criterion_05_golden_ratio_capacity():
     ts = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
     rates = binary_entropy_rate(ts)
     t_star = float(ts[np.argmax(rates)])
+    cert = maximize(model)  # the variational route on the unsmoothed shift
+    closed_form = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 
     ok = (
         abs(sol.rho - 1.6180340) <= 1e-6
@@ -141,11 +143,14 @@ def test_criterion_05_golden_ratio_capacity():
         and abs(pi_leave - 0.38197) <= 1e-4
         and abs(pi_leave - t_star) <= 1e-4
         and abs(sol.log_rho - float(rates.max())) <= 1e-6
+        and cert.primal_lower - 1e-9 <= closed_form <= cert.dual_upper + 1e-9
         and elapsed < 1.0
     )
     _report(5, ok, f"rho {sol.rho:.9f} vs path counts {oracle_rho:.9f}; "
                    f"twisted exit prob {pi_leave:.5f} vs entropy argmax "
-                   f"{t_star:.5f}; {elapsed:.3f}s")
+                   f"{t_star:.5f}; variational [{cert.primal_lower:.10f}, "
+                   f"{cert.dual_upper:.10f}] around log phi {closed_form:.10f}; "
+                   f"{elapsed:.3f}s")
 
 
 def test_criterion_06_slowest_exit_rate():
@@ -164,13 +169,16 @@ def test_criterion_06_slowest_exit_rate():
     assert ratios.max() - ratios.min() <= 1e-12
 
     closed_form = math.log(math.cos(math.pi / 4.0))
+    cert = maximize(model)  # the variational route on the zero-kernel exit model
     ok = (
         abs(sol.log_rho - closed_form) <= 1e-8
         and abs(oracle - closed_form) <= 1e-10
+        and cert.primal_lower - 1e-9 <= closed_form <= cert.dual_upper + 1e-9
         and elapsed < 1.0
     )
     _report(6, ok, f"exit rate {sol.log_rho:.10f} vs log cos(pi/4) "
-                   f"{closed_form:.10f} (power-iteration oracle {oracle:.10f}); "
+                   f"{closed_form:.10f} (power-iteration oracle {oracle:.10f}; "
+                   f"variational [{cert.primal_lower:.10f}, {cert.dual_upper:.10f}]); "
                    f"{elapsed:.3f}s")
 
 

@@ -395,11 +395,13 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
     save_model(model, path)
     jsonio.dump({"phi": Policy.uniform(model.n_states, model.n_actions).phi}, policy)
     capsys.readouterr()
+    codes = []
     for argv in (["solve", path, "--max-iter", "2000"],
                  ["solve", path, "--eps-fallback", "1e-6"],
                  ["variational", path],
                  ["mc", path, "--policy", policy, "--n", "30", "--paths", "200"]):
         code = run(argv)
+        codes.append(code)
         captured = capsys.readouterr()
         assert code in (0, 2, 3) and captured.err == "", argv[0]
         doc = json.loads(captured.out, parse_constant=no_nan)
@@ -410,6 +412,8 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
                            for key in ("rho", "lambda")), doc
         if argv[0] == "variational":
             assert doc.get("error", {}).get("type") != "SingularChain", doc
+    # one refusal rule: variational is refused only where solve without a fallback is
+    assert codes[2] != 2 or codes[0] == 2, codes
 
 
 @pytest.mark.parametrize("family, seed, closed", [("near-decomposable", 5, True),
@@ -555,17 +559,20 @@ def test_reducible_model_without_fallback_exits_2(capsys, tmp_path):
     assert doc["regularized"] is True
 
 
-def test_variational_on_nonpositive_model_points_to_solve_fallback(capsys, tmp_path):
+def test_variational_takes_fib_and_refuses_a_split_graph_as_solve_does(capsys, tmp_path):
+    # the golden-ratio shift has zero weights and needs no smoothing; a graph
+    # that solve refuses without a fallback is refused with solve's error
     path = _write_fib(capsys, tmp_path)
     code, doc = _invoke_json(capsys, "variational", path)
-    assert code == 2
-    assert doc["error"]["type"] == "ZeroGainRow"
-    message = doc["error"]["message"]
-    assert "solve" in message and "--eps-fallback" in message
-    assert "epsilon_model" not in message  # a library name the command line cannot use
-    code, doc = _invoke_json(capsys, "solve", path, "--eps-fallback", "1e-8")
     assert code == 0
-    assert doc["regularized"] is True and doc["certificate"]["gap"] <= 1e-8
+    assert abs(doc["value"] - math.log((1 + math.sqrt(5)) / 2)) <= 1e-6 and doc["gap"] <= 1e-6
+    split = str(tmp_path / "split.json")
+    assert _invoke_json(capsys, "gen", "graph", "--adjacency", "110;110;001",
+                        "--out", split)[0] == 0
+    code, solve_doc = _invoke_json(capsys, "solve", split)
+    assert code == 2 and solve_doc["error"]["type"] == "ReducibleGain"
+    code, doc = _invoke_json(capsys, "variational", split)
+    assert code == 2 and doc == solve_doc
 
 
 def test_solve_then_mc_smoke_agreement(capsys, tmp_path):

@@ -16,6 +16,7 @@ from conftest import (
     path_count_growth,
     random_positive_model,
     random_walk_exit_model,
+    split_graph_model,
     two_graph_model,
 )
 from growthcert import (
@@ -564,13 +565,15 @@ def test_enumerate_matches_dense_oracle_on_positive_suite():
         assert best_gain == max(gain for _, gain in table)
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0}])
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0},
+                                    {"tol": -1.0}])
 def test_policy_gains_reject_invalid_budget(kwargs):
-    model = random_positive_model(8, s=4, a=3)
-    with pytest.raises(ValueError, match="tol"):
-        fixed_policy_gain(model, Policy.uniform(4, 3), **kwargs)
-    with pytest.raises(ValueError, match="tol"):
-        enumerate_policy_gains(model, **kwargs)
+    # checked at entry: the split graph's reducible policies would raise ReducibleGain later
+    for model in (random_positive_model(8, s=4, a=3), split_graph_model()):
+        with pytest.raises(ValueError, match="tol"):
+            fixed_policy_gain(model, Policy.uniform(model.n_states, model.n_actions), **kwargs)
+        with pytest.raises(ValueError, match="tol"):
+            enumerate_policy_gains(model, **kwargs)
 
 
 def test_fixed_policy_gain_rejects_a_policy_of_another_shape():

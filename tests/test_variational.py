@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import fib_model, fuzz_model, random_positive_model
+from conftest import fib_model, fuzz_model, random_positive_model, split_graph_model
 from growthcert import (
     Certificate,
     MdpModel,
@@ -37,6 +37,7 @@ from growthcert.errors import (
     NoConvergence,
     NotConverged,
     NotDistribution,
+    ReducibleGain,
     RowSumViolation,
     SingularChain,
     ZeroGainRow,
@@ -305,9 +306,36 @@ def test_maximize_closes_with_its_own_pair_values(monkeypatch):
     assert cert.gap <= 1e-6 * max(1.0, abs(cert.primal_lower))
 
 
-def test_maximize_requires_positive_model():
-    with pytest.raises(ZeroGainRow, match="epsilon_model"):
-        maximize(fib_model())
+@pytest.mark.parametrize("model", [split_graph_model(), fuzz_model(2, "zero-row"),
+                                   _singleton(0.0)],
+                         ids=["split-graph", "zero-row-dead-state", "dead-singleton"])
+def test_maximize_refuses_where_solve_refuses(model):
+    # one refusal rule for both routes: a gain graph not strongly connected, or a dead state
+    with pytest.raises(ReducibleGain) as solve_refusal:
+        solve_eigen(model)
+    with pytest.raises(ReducibleGain) as refusal:
+        maximize(model)
+    assert str(refusal.value) == str(solve_refusal.value)
+
+
+@pytest.mark.parametrize("family", ["periodic", "zero-row"])
+def test_maximize_brackets_solve_or_both_refuse_on_zero_gain_families(family):
+    # Psi0 is -inf off the gain support, so the formula needs no positivity: each
+    # draw is bracketed around solve's rate, or both routes refuse it
+    misses = []
+    for seed in range(100):
+        model = fuzz_model(seed, family)
+        try:
+            lam = solve_eigen(model).log_rho
+        except ReducibleGain:
+            with pytest.raises(ReducibleGain):
+                maximize(model)
+            continue
+        cert = maximize(model)
+        slack = 1e-9 * max(1.0, abs(lam))
+        if not cert.primal_lower - slack <= lam <= cert.dual_upper + slack:
+            misses.append((seed, cert.primal_lower, lam, cert.dual_upper))
+    assert misses == []
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": float("nan")},
