@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NoConvergence, NonpositiveF, ReducibleGain, TooManyPolicies
 from .model import (MdpModel, Policy, _check_policy, _check_solvable, _strongly_connected,
-                    epsilon_model, validate)
+                    epsilon_model)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -214,32 +214,33 @@ def solve_eigen(
 ) -> EigenSolution:
     """Certified principal eigenpair of the growth operator.
 
-    When kernel or weights have a zero entry and ``eps_fallback`` is given,
-    the epsilon-smoothed companion model (see :func:`model.epsilon_model`) is
-    solved instead and the result, also one carried by :class:`NoConvergence`,
-    records that ``epsilon`` (``regularized``) -- its rate upper-bounds the
-    original one within O(epsilon).  :func:`variational.certificate_from_eigen`
-    takes the original model and certifies against the companion itself.
-    Otherwise a gain graph that is not strongly connected, or has a dead
-    state, is refused (:class:`ReducibleGain`), as :func:`variational.maximize`
-    refuses it: the ratio bracket cannot close there.  A non-finite or
-    non-positive ``tol`` or a ``max_iter`` below 1 is a ``ValueError``.
+    A gain graph that is not strongly connected, or has a dead state, is
+    refused (:class:`ReducibleGain`) by :func:`model._check_solvable`, as in
+    :func:`variational.maximize`: the ratio bracket cannot close there.  With
+    ``eps_fallback``, exactly such a model is smoothed: its epsilon-smoothed
+    companion (:func:`model.epsilon_model`) is solved, and the result, also
+    one carried by :class:`NoConvergence`, records that ``epsilon``
+    (``regularized``); its rate upper-bounds the original one within
+    O(epsilon).  :func:`variational.certificate_from_eigen` certifies it
+    against the companion.  A non-finite or non-positive ``tol`` or a
+    ``max_iter`` below 1 is a ``ValueError``.
 
     The loop starts at the all-ones vector; ``iterations`` counts its bracket
     checks, at most ``max_iter``.  A bracket still open then, or a damped step
     that would underflow an entry of ``psi`` to 0, raises
     :class:`NoConvergence` carrying the last positive ``psi`` and its bracket.
     """
-    report = validate(model)
     _check_budget(tol, max_iter)
     if eps_fallback is not None and not (0 < eps_fallback < math.inf):
         raise ValueError("eps_fallback must be finite and > 0 when given")
     epsilon = 0.0
-    if eps_fallback is not None and not (report.a0_plus and report.a1_plus):
+    try:
+        _check_solvable(model)
+    except ReducibleGain:
+        if eps_fallback is None:
+            raise
         epsilon = float(eps_fallback)
         model = epsilon_model(model, epsilon)
-    else:
-        _check_solvable(model)
     sol, why = _certified_iteration(model.gain, tol, max_iter)
     sol = replace(sol, epsilon=epsilon)
     if not sol.converged:

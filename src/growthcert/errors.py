@@ -61,7 +61,7 @@ class NotDistribution(GrowthcertError, ValueError):
 
 
 class ReducibleGain(GrowthcertError, ValueError):
-    """The gain graph is not strongly connected; certified iteration refused."""
+    """The gain graph is not strongly connected or has a dead state; both routes refuse it."""
 
 
 class TooManyPolicies(GrowthcertError, ValueError):

@@ -201,10 +201,10 @@ def validate(model: MdpModel) -> FeasibilityReport:
 
 
 def _check_solvable(model: MdpModel) -> None:
-    """Refuse (:class:`ReducibleGain`) a gain graph not strongly connected or with a dead state."""
+    """The one support rule: :class:`ReducibleGain` on a reducible gain graph or a dead state."""
     if not model.report.gain_irreducible or model.report.dead_states:
-        raise ReducibleGain("gain graph is not strongly connected; pass eps_fallback to solve "
-                            "the smoothed companion model instead")
+        raise ReducibleGain("gain graph is not strongly connected, or a state has no "
+                            "positive-gain action")
 
 
 @dataclass(frozen=True)

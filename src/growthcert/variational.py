@@ -13,10 +13,12 @@ eigenpair (the psi-twisted chain), the dual upper bound
 ``max_x [log (T e^g)(x) - g(x)]``, and a maximizer that minimizes a soft-max
 smoothing of that bound by Newton's method and reads a stationary measure
 off its solution, so that each run returns both sides of the bracket.  As
-``Psi0`` is -inf off the gain support, no positivity is needed.  The
-module takes eigensolutions as data and never calls the eigensolver, so the
-two routes check each other; a regularized eigensolution is certified against
-the epsilon-smoothed companion (:func:`model.epsilon_model`) it solves.
+``Psi0`` is -inf off the gain support, no positivity is needed: the dual
+bound holds on every model, and :func:`maximize` and :func:`random_feasible`
+refuse only what :func:`model._check_solvable` refuses.  The module takes
+eigensolutions as data and never calls the eigensolver, so the two routes
+check each other; a regularized eigensolution is certified against the
+epsilon-smoothed companion (:func:`model.epsilon_model`) it solves.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from .errors import (
     NotDistribution,
     RowSumViolation,
     SingularChain,
-    ZeroGainRow,
 )
-from .model import MdpModel, _check_policy, _check_solvable, epsilon_model, validate
+from .model import MdpModel, _check_policy, _check_solvable, epsilon_model
 
 MASS_TOL = 1e-12
 
@@ -201,23 +202,22 @@ def twisted_occupation(model: MdpModel, eig) -> OccupationMeasure:
 def random_feasible(model: MdpModel, seed: int) -> OccupationMeasure:
     """Random stationary occupation measure (deterministic in ``seed``).
 
-    Draws random action and next-state conditionals supported on the kernel's
-    support, then closes the loop with the induced chain's stationary
-    distribution.  Needs a strictly positive kernel so the induced chain is
-    irreducible; retries a fresh draw up to 10 times if the stationary solve
-    degenerates.
+    Draws action laws on the live (state, action) pairs and next-state laws on
+    the gain support, and closes them with the induced chain's stationary law.
+    That chain moves along every gain edge, so it is irreducible on every model
+    :func:`maximize` takes; the others raise its :class:`ReducibleGain`.
+    Retries a fresh draw up to 10 times if the stationary solve degenerates.
     """
-    report = validate(model)
-    if not report.a1_plus:
-        raise ZeroGainRow("random_feasible requires a strictly positive kernel")
+    _check_solvable(model)
+    support = model.gain > 0
+    live = support.any(axis=2)
     s, a = model.n_states, model.n_actions
     rng = np.random.default_rng(seed)
     last_exc = None
     for _ in range(10):
-        eta1 = rng.gamma(1.0, size=(s, a))
+        eta1 = rng.gamma(1.0, size=(s, a)) * live
         eta1 /= eta1.sum(axis=1, keepdims=True)
-        eta2 = rng.gamma(1.0, size=(s, a, s)) * (model.kernel > 0)
-        eta2 /= eta2.sum(axis=2, keepdims=True)
+        eta2 = _conditionals(rng.gamma(1.0, size=(s, a, s)) * support)[2]
         try:
             return _stationary_measure(eta1, eta2)
         except SingularChain as exc:
@@ -228,15 +228,14 @@ def random_feasible(model: MdpModel, seed: int) -> OccupationMeasure:
 def dual_bound(model: MdpModel, g: np.ndarray) -> float:
     """Upper bound ``max_x [log (T e^g)(x) - g(x)]`` on the growth rate.
 
-    Valid for every finite ``g`` and tight at ``g = log psi``.  States whose
-    gain rows are entirely zero make the bound +inf (no finite certificate
-    exists through them), which is returned as such.
+    Valid for every finite ``g`` and tight at ``g = log psi``: ``e^g``
+    is subinvariant, ``T e^g <= e^{bound} e^g``, which bounds the growth
+    rate for any nonnegative gain (Collatz-Wielandt).  A dead state, whose
+    ``(T e^g)(x)`` is 0, only drops out of the maximum.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (model.n_states,) or not np.all(np.isfinite(g)):
         raise NotDistribution(f"g must be a finite vector of length {model.n_states}")
-    if validate(model).dead_states:
-        return float("inf")
     with np.errstate(divide="ignore"):  # log 0 off the gain support: a dead pair's L is -inf
         return float(_pair_values(np.log(model.gain), g)[0].max())
 
@@ -345,7 +344,7 @@ def maximize(model: MdpModel, iters: int = 500, tol: float = 1e-6) -> Certificat
                 certificate=cert,
             ) from exc
         value = objective_psi0(model, eta)
-        dual = float(L.max())  # dual_bound(model, g): every state has a live pair
+        dual = float(L.max())  # dual_bound(model, g)
         cert = Certificate(primal_lower=value, dual_upper=dual, gap=dual - value, eta=eta, g=g)
         if cert.gap <= tol * max(1.0, abs(value)):
             return cert

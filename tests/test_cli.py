@@ -68,8 +68,8 @@ def test_solve_fibonacci_with_fallback(capsys, tmp_path):
                              "--max-iter", "1" + "0" * 400)  # past float range, still valid
     assert code == 0
     golden = (1 + math.sqrt(5)) / 2
-    assert abs(doc["lambda"] - math.log(golden)) <= 1e-6
-    assert doc["regularized"] is True and doc["epsilon"] == 1e-8
+    assert abs(doc["lambda"] - math.log(golden)) <= 1e-10
+    assert doc["regularized"] is False and doc["epsilon"] == 0  # nothing to smooth
     assert doc["converged"] is True
     assert abs(doc["lambda"] - math.log(doc["rho"])) <= 1e-12
     assert doc["cw_lower"] <= doc["rho"] <= doc["cw_upper"]
@@ -395,7 +395,7 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
     save_model(model, path)
     jsonio.dump({"phi": Policy.uniform(model.n_states, model.n_actions).phi}, policy)
     capsys.readouterr()
-    codes = []
+    codes, docs = [], []
     for argv in (["solve", path, "--max-iter", "2000"],
                  ["solve", path, "--eps-fallback", "1e-6"],
                  ["variational", path],
@@ -405,6 +405,7 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
         captured = capsys.readouterr()
         assert code in (0, 2, 3) and captured.err == "", argv[0]
         doc = json.loads(captured.out, parse_constant=no_nan)
+        docs.append(doc)
         if argv[0] == "solve":
             assert doc.get("error", {}).get("type") != "RowSumViolation", doc
             if doc.get("converged"):
@@ -414,6 +415,8 @@ def test_fuzz_families_keep_the_cli_contract(capsys, tmp_path, family, seed):
             assert doc.get("error", {}).get("type") != "SingularChain", doc
     # one refusal rule: variational is refused only where solve without a fallback is
     assert codes[2] != 2 or codes[0] == 2, codes
+    # one smoothing rule: the fallback smooths exactly what solve without it refuses
+    assert docs[1]["regularized"] is (codes[0] == 2), codes
 
 
 @pytest.mark.parametrize("family, seed, closed", [("near-decomposable", 5, True),
@@ -556,7 +559,8 @@ def test_reducible_model_without_fallback_exits_2(capsys, tmp_path):
     assert doc["error"]["type"] == "ReducibleGain"
     code, doc = _invoke_json(capsys, "solve", path, "--eps-fallback", "1e-8")
     assert code == 0
-    assert doc["regularized"] is True
+    assert doc["regularized"] is True and doc["epsilon"] == 1e-8
+    assert abs(doc["lambda"] - math.log(2.0)) <= 1e-6  # the 2-clique's rate, smoothed
 
 
 def test_variational_takes_fib_and_refuses_a_split_graph_as_solve_does(capsys, tmp_path):

@@ -174,14 +174,14 @@ def test_solve_constant_reward_closed_form():
 
 
 def test_solve_fibonacci_with_fallback():
+    # fib's zero weight leaves its gain graph strongly connected: nothing to smooth
     sol = solve_eigen(fib_model(), eps_fallback=1e-8)
-    assert sol.regularized and sol.epsilon == 1e-8
+    assert not sol.regularized and sol.epsilon == 0.0
+    plain = solve_eigen(fib_model())
+    assert (sol.log_rho, sol.iterations) == (plain.log_rho, plain.iterations)
+    assert sol.psi.tobytes() == plain.psi.tobytes()
     assert abs(sol.rho - path_count_growth(FIB_ADJACENCY)) <= 1e-6
-    assert abs(sol.log_rho - math.log((1 + math.sqrt(5)) / 2)) <= 1e-6
-    with pytest.raises(NoConvergence) as info:
-        solve_eigen(fib_model(), eps_fallback=1e-8, max_iter=2)
-    sol = info.value.solution
-    assert not sol.converged and sol.regularized and sol.epsilon == 1e-8
+    assert abs(sol.log_rho - math.log((1 + math.sqrt(5)) / 2)) <= 1e-10
 
 
 def test_solve_matches_policy_enumeration_seed7():
@@ -195,11 +195,16 @@ def test_solve_matches_policy_enumeration_seed7():
 def test_solve_refuses_reducible_gain_without_fallback():
     adj = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]])  # two components
     model = gen_graph_model([adj])
-    with pytest.raises(ReducibleGain, match="eps_fallback"):
+    with pytest.raises(ReducibleGain, match="not strongly connected, or a state has no "
+                                          "positive-gain action"):
         solve_eigen(model)
     sol = solve_eigen(model, eps_fallback=1e-8)
-    assert sol.regularized
+    assert sol.regularized and sol.epsilon == 1e-8
     assert abs(sol.log_rho - math.log(2.0)) <= 1e-6  # dominated by the 2-clique
+    with pytest.raises(NoConvergence) as info:
+        solve_eigen(model, eps_fallback=1e-8, max_iter=2)
+    sol = info.value.solution
+    assert not sol.converged and sol.regularized and sol.epsilon == 1e-8
 
 
 def test_solve_periodic_gain_converges():

@@ -34,6 +34,7 @@ CASES = [
     ("solve_ring", ["solve", "ring.json"], 0),
     ("solve_fib_fallback", ["solve", "fib.json", "--eps-fallback", "1e-8"], 0),
     ("solve_ring_fallback", ["solve", "ring.json", "--eps-fallback", "1e-6"], 0),
+    ("solve_split_fallback", ["solve", "split.json", "--eps-fallback", "1e-6"], 0),
     ("bounds_fib", ["bounds", "fib.json", "--f", "f.json"], 0),
     ("bounds_random5", ["bounds", "random5.json", "--f", "f5.json"], 0),
     ("mc_random5", ["mc", "random5.json", "--policy", "uniform5.json",

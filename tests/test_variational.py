@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from conftest import fib_model, fuzz_model, random_positive_model, split_graph_model
+from conftest import (fib_model, fuzz_model, random_positive_model, random_walk_exit_model,
+                      split_graph_model, two_graph_model)
 from growthcert import (
     Certificate,
     MdpModel,
@@ -249,9 +250,26 @@ def test_random_feasible_contract():
     assert not np.array_equal(eta.joint, random_feasible(model, seed=43).joint)
 
 
-def test_random_feasible_needs_positive_kernel():
-    with pytest.raises(ZeroGainRow):
-        random_feasible(fib_model(), seed=0)
+def test_random_feasible_refuses_where_solve_refuses():
+    with pytest.raises(ReducibleGain, match="not strongly connected"):
+        random_feasible(split_graph_model(), seed=0)
+
+
+def test_random_feasible_objective_below_lambda_on_zero_gain_models():
+    # weak duality off the positive family: every model solve accepts, zero gains and all
+    models = [fib_model(), two_graph_model(), random_walk_exit_model()] + [
+        fuzz_model(seed, family) for family in ("periodic", "zero-row") for seed in range(100)]
+    draws = 0
+    for model in models:
+        try:
+            lam = solve_eigen(model).log_rho
+        except ReducibleGain:
+            continue
+        for seed in range(10):
+            value = objective_psi0(model, random_feasible(model, seed=seed))
+            assert math.isfinite(value) and value <= lam + 1e-9
+            draws += 1
+    assert draws >= 1500
 
 
 def test_random_feasible_objective_below_log_rho():
@@ -411,14 +429,16 @@ def test_dual_bound_skips_a_dead_pair_beside_a_live_one():
         assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
-def test_dual_bound_dead_row_is_plus_infinity():
+def test_dual_bound_with_a_dead_state_is_finite():
     kernel = np.zeros((2, 1, 2))
     kernel[0, 0, 1] = 1.0
     kernel[1, 0, :] = 0.5
     weights = np.zeros((2, 1, 2))
-    weights[1, 0, :] = 1.0  # state 0 has an all-zero reward row
+    weights[1, 0, :] = 1.0  # state 0 has an all-zero reward row; the rate is log 0.5
     model = MdpModel(states=["a", "b"], actions=["u"], kernel=kernel, weights=weights)
-    assert dual_bound(model, np.zeros(2)) == math.inf
+    at_zero = dual_bound(model, np.zeros(2))
+    assert math.isfinite(at_zero) and at_zero >= math.log(0.5)
+    assert dual_bound(model, np.array([-50.0, 0.0])) == math.log(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +499,13 @@ def test_certificate_from_eigen_matches_the_long_way_bit_for_bit(kind, seed):
         model = random_positive_model(seed, s=200, a=8)
     else:
         model = fuzz_model(seed, kind)
-    sol = solve_eigen(model, eps_fallback=1e-6 if kind == "zero-row" else None)
-    assert sol.regularized == (kind == "zero-row")
+    try:
+        solve_eigen(model)
+        refused = False
+    except ReducibleGain:
+        refused = True
+    sol = solve_eigen(model, eps_fallback=1e-6)
+    assert sol.regularized == refused  # smoothed exactly where solve refuses
     cert = certificate_from_eigen(model, sol)
     primal, dual, joint, g = _reference_certificate(model, sol)
     bounds = np.array([cert.primal_lower, cert.dual_upper, cert.gap])
@@ -524,7 +549,7 @@ def test_epsilon_params_validation():
 
 
 def test_regularized_solution_certifies_itself():
-    model = fib_model()
+    model = split_graph_model()
     sol = solve_eigen(model, eps_fallback=1e-8)
     assert sol.regularized
     companion = epsilon_model(model, sol.epsilon)
