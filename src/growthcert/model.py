@@ -515,7 +515,7 @@ def save_model(model: MdpModel, path) -> None:
 
 def load_model(path) -> MdpModel:
     """Read a model file written by :func:`save_model` (or by hand)."""
-    doc = jsonio.load(path, "model file")
+    doc = jsonio.load(path, "model file", cls=jsonio.RowDecoder)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     extra = sorted(set(doc) - set(_MODEL_FIELDS))

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from growthcert import (
     gen_exit_model,
     gen_graph_model,
     gen_portfolio_model,
+    jsonio,
     load_model,
     save_model,
     solve_eigen,
@@ -31,7 +34,7 @@ from growthcert.errors import (
     ParseError,
     SchemaError,
 )
-from growthcert.model import _strongly_connected
+from growthcert.model import _number_array, _strongly_connected
 
 
 def _singleton(weight: float) -> MdpModel:
@@ -421,3 +424,73 @@ def test_load_parse_error_has_location(tmp_path):
     path.write_text('{"states": ["s",\n  oops}')
     with pytest.raises(ParseError, match="line 2"):
         load_model(path)
+
+
+_DEEP = 100_000
+_TENSOR_TEXTS = {
+    "rank 3": '{"kernel": [[[1, 0.0], [0.5, 0.5]], [[0.25, 0.75], [1e-320, -0.0]]]}',
+    "outer ragged": '{"kernel": [[[0.5, 0.5]], [[1.0], [0.0]]]}',
+    "inner ragged": '{"kernel": [[[0.5, 0.5], [1.0]], [[1.0, 0.0], [0.5, 0.5]]]}',
+    "boolean among floats": '{"kernel": [[[true, 0.0]], [[0.5, 0.5]]]}',
+    "all boolean": '{"kernel": [[[true, false]], [[false, true]]]}',
+    "number as string": '{"kernel": [[["1.0", 0.0]], [[0.5, 0.5]]]}',
+    "null": '{"kernel": [[[null, 1.0]], [[0.5, 0.5]]]}',
+    "object": '{"kernel": [[[{"p": 1.0}, 0.0]], [[0.5, 0.5]]]}',
+    "integer beyond 64 bits": '{"kernel": [[[18446744073709551616, 0.0]], [[0.5, 0.5]]]}',
+    "uint64 row beside int64 row": '{"kernel": [[[9223372036854775808]], [[-1]]]}',
+    "nan": '{"kernel": [[[NaN, 0.0]], [[0.5, 0.5]]]}',
+    "duplicate key": '{"kernel": [[[0.5, 0.5]]], "kernel": [[[1.0, 0.0]]]}',
+    "trailing comma": '{"kernel": [[[1.0, 0.0]],]}',
+    "extra data": '{"kernel": [[[1.0]]]} []',
+    "empty": '{"kernel": []}',
+    "rank 2": '{"kernel": [[1.0, 0.0], [0.5, 0.5]]}',
+    "deep array": '{"kernel": ' + "[" * _DEEP + "]" * _DEEP + "}",
+    "deep object": '{"metadata": ' + '{"m": ' * _DEEP + "0" + "}" * _DEEP + "}",
+    "600-deep object": '{"kernel": [[[1.0]]], "metadata": ' + '{"m": ' * 600 + "0" + "}" * 600 + "}",
+}
+
+
+def _kernel(decode, text):
+    """The kernel array ``load_model`` would see, or the error type and message on the way."""
+    try:
+        arr = _number_array(decode(text)["kernel"], "kernel")
+    except (ValueError, RecursionError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@pytest.mark.parametrize("text", _TENSOR_TEXTS.values(), ids=_TENSOR_TEXTS)
+def test_row_decoder_reads_tensors_as_json_loads_and_asarray(text):
+    assert _kernel(jsonio.RowDecoder().decode, text) == _kernel(json.loads, text)
+
+
+_ENTRIES = st.sampled_from(["0.5", "1", "-0.0", "true", "null", '"1.0"', "NaN",
+                            "9223372036854775808", "18446744073709551616"])
+_NESTINGS = st.recursive(
+    _ENTRIES, lambda rows: st.lists(rows, max_size=3).map(lambda r: "[" + ", ".join(r) + "]"),
+    max_leaves=24)
+
+
+@given(body=_NESTINGS)
+@settings(max_examples=300, deadline=None)
+def test_row_decoder_matches_json_loads_on_any_nesting(body):
+    """Ragged shapes and mixed entries give numpy's own array or message at any depth."""
+    text = '{"kernel": ' + body + "}"
+    assert _kernel(jsonio.RowDecoder().decode, text) == _kernel(json.loads, text)
+
+
+def test_load_model_peaks_near_twice_the_file_size(tmp_path):
+    """Tensors are read a row at a time, so the load holds little beyond the file's text."""
+    path = tmp_path / "model.json"
+    save_model(random_positive_model(0, s=60, a=8), path)
+    tracemalloc.start()
+    try:
+        model = load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * path.stat().st_size
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for name in ("kernel", "weights"):
+        want = np.asarray(doc[name])
+        assert getattr(model, name).tobytes() == want.tobytes() and want.shape == (60, 8, 60)
